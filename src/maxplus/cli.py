@@ -7,14 +7,14 @@ Exit codes: 0 for values and passing checks, 1 for a property violation,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional
 
 from . import formats, order, selftest, semialgebra
 from .functionals import (EqualPointsError, FunctionalRep,
                           InconsistentValuesError, LinearMapSample,
-                          ZeroFunctionalError, check_a_linear,
-                          graph_sup_closed, pointwise_sup,
+                          check_a_linear, graph_sup_closed, pointwise_sup,
                           recover_representer, separate_points,
                           extend_functional)
 from .scalars import (NotInvertibleError, boolean_semifield,
@@ -29,6 +29,19 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     pass
+
+
+# -inf and negative literals such as -1/2 or -.5; argparse alone knows only -N and -N.M.
+_NEGATIVE_SCALAR = re.compile(r"-(inf|\.?\d.*)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads negative scalar tokens as values, never as options."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_SCALAR.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _read(path: str) -> str:
@@ -123,18 +136,9 @@ def cmd_prop4(args) -> int:
     return _print_report(semialgebra.check_prop4(x, y))
 
 
-def cmd_dm_complete(args) -> int:
+def cmd_complete(args) -> int:
     s = formats.parse_poset(_read(args.poset))
-    result = order.dm_completion(s)
-    sys.stdout.write(formats.format_poset(result.completed))
-    for src in s.elements:
-        print(f"# embed {src} -> {result.embedding[src]}")
-    return EXIT_OK
-
-
-def cmd_b_complete(args) -> int:
-    s = formats.parse_poset(_read(args.poset))
-    result = order.b_completion(s)
+    result = args.completion(s)
     sys.stdout.write(formats.format_poset(result.completed))
     for src in s.elements:
         print(f"# embed {src} -> {result.embedding[src]}")
@@ -179,7 +183,7 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxplus",
         description="Exact max-plus linear algebra: functionals, completions, law checks.")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -225,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dm-complete", help="normal completion by cuts")
     p.add_argument("--poset", required=True)
-    p.set_defaults(run=cmd_dm_complete)
+    p.set_defaults(run=cmd_complete, completion=order.dm_completion)
 
     p = sub.add_parser("b-complete", help="bounded completion")
     p.add_argument("--poset", required=True)
-    p.set_defaults(run=cmd_b_complete)
+    p.set_defaults(run=cmd_complete, completion=order.b_completion)
 
     p = sub.add_parser("check-axioms", help="semiring axiom suite")
     p.add_argument("--semiring", choices=["boolean", "maxplus"], required=True)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .report import CheckReport
-from .scalars import (BOTTOM, TOP, ExtendedScalar, big_sup, finite, s_inv,
-                      s_mul)
-from .semimodules import (DimensionMismatchError, FinVector, unit_vector,
-                          v_inf, v_scale, v_sup, zero_vector)
+from .scalars import ONE, ExtendedScalar, big_sup, s_div, s_mul
+from .semimodules import (DimensionMismatchError, FinVector, _join_labels,
+                          unit_vector, v_inf, v_scale, v_sup, zero_vector)
 
 
 class ZeroFunctionalError(ValueError):
@@ -35,27 +34,13 @@ class InconsistentValuesError(ValueError):
 def star_eval(x: FinVector, y: FinVector) -> ExtendedScalar:
     """Evaluate the residuation functional of x at y: the least k with y <= k*x.
 
-    Closed form: the sup over coordinates of y_i / x_i, where a -inf target
-    imposes no constraint, a -inf coordinate of x makes a nonzero target
-    unreachable (+inf), and a +inf coordinate of x is satisfied by every
-    nonzero k (contributing the bottom).
+    Closed form: the sup over coordinates of the residuals s_div(y_i, x_i).
+    A -inf target imposes no constraint, so it is skipped before any
+    arithmetic; evaluation on a unit vector then costs one residual.
     """
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    best_q = None
-    for xi, yi in zip(x.coords, y.coords):
-        if yi.is_bottom():
-            continue
-        if xi.is_bottom():
-            return TOP
-        if xi.is_top():
-            continue
-        if yi.is_top():
-            return TOP
-        q = yi.q - xi.q
-        if best_q is None or q > best_q:
-            best_q = q
-    return BOTTOM if best_q is None else finite(best_q)
+    _join_labels(x, y)
+    return big_sup(s_div(yi, xi) for xi, yi in zip(x.coords, y.coords)
+                   if not yi.is_bottom())
 
 
 @dataclass(frozen=True)
@@ -75,15 +60,6 @@ class FunctionalRep:
 Oracle = Callable[[FinVector], ExtendedScalar]
 
 
-def _pseudo_inv(a: ExtendedScalar) -> ExtendedScalar:
-    """Inverse extended to the infinities, matching the residuation conventions."""
-    if a.is_bottom():
-        return TOP
-    if a.is_top():
-        return BOTTOM
-    return s_inv(a)
-
-
 def recover_representer(f: Union[Oracle, FunctionalRep], probe_dim: int) -> FinVector:
     """Recover the representer of a nonzero a-linear functional from evaluations.
 
@@ -93,7 +69,7 @@ def recover_representer(f: Union[Oracle, FunctionalRep], probe_dim: int) -> FinV
     values = [f(unit_vector(i, probe_dim)) for i in range(probe_dim)]
     if all(v.is_bottom() for v in values):
         raise ZeroFunctionalError("zero functional has no representer")
-    x = FinVector(tuple(_pseudo_inv(v) for v in values))
+    x = FinVector(tuple(s_div(ONE, v) for v in values))
     for i, v in enumerate(values):
         if star_eval(x, unit_vector(i, probe_dim)) != v:
             raise ZeroFunctionalError(
@@ -115,7 +91,7 @@ def extend_functional(w, values: Sequence[ExtendedScalar],
     values = list(values)
     if len(values) != len(generators):
         raise ValueError("one prescribed value per generator is required")
-    pieces = [v_scale(_pseudo_inv(v), g) for v, g in zip(values, generators)]
+    pieces = [v_scale(s_div(ONE, v), g) for v, g in zip(values, generators)]
     x = v_sup(pieces, dim=ambient_dim)
     if x.dim != ambient_dim:
         raise DimensionMismatchError("generators do not live in the ambient dimension")
@@ -190,31 +166,14 @@ def check_a_linear(map_fn: VectorMap,
             return s_mul(k, output)
         return v_scale(k, output)
 
-    witness = None
-    for r in range(len(test_vectors) + 1):
-        for subset in itertools.combinations(test_vectors, r):
-            lhs = map_fn(v_sup(list(subset), dim=dim))
-            rhs = out_sup([map_fn(v) for v in subset])
-            if lhs != rhs:
-                witness = subset
-                break
-        if witness is not None:
-            break
-    report.record("sup-preservation", witness is None, witness)
-
-    witness = None
-    for k in scalars:
-        if k.is_top():
-            continue
-        for v in test_vectors:
-            lhs = map_fn(v_scale(k, v))
-            rhs = out_scale(k, map_fn(v))
-            if lhs != rhs:
-                witness = (k, v)
-                break
-        if witness is not None:
-            break
-    report.record("homogeneity", witness is None, witness)
+    subsets = (subset for r in range(len(test_vectors) + 1)
+               for subset in itertools.combinations(test_vectors, r))
+    report.record_first("sup-preservation", (
+        subset for subset in subsets
+        if map_fn(v_sup(list(subset), dim=dim)) != out_sup([map_fn(v) for v in subset])))
+    report.record_first("homogeneity", (
+        (k, v) for k in scalars if not k.is_top() for v in test_vectors
+        if map_fn(v_scale(k, v)) != out_scale(k, map_fn(v))))
 
     return report
 
@@ -246,20 +205,18 @@ def graph_sup_closed(g: LinearMapSample) -> CheckReport:
     if len(pairs) > 16:
         raise ValueError("graph samples limited to 16 pairs")
     table = {p[0].coords: p[1].coords for p in pairs}
-    witness = None
-    for r in range(1, len(pairs) + 1):
-        for subset in itertools.combinations(pairs, r):
-            sup_in = v_sup([p[0] for p in subset])
-            sup_out = v_sup([p[1] for p in subset])
-            expected = table.get(sup_in.coords)
-            if expected is None:
-                witness = (subset, "supremum pair absent from the sample")
-                break
-            if expected != sup_out.coords:
-                witness = (subset, "supremum of outputs disagrees with the sampled output")
-                break
-        if witness is not None:
-            break
+
+    def violations():
+        for r in range(1, len(pairs) + 1):
+            for subset in itertools.combinations(pairs, r):
+                sup_in = v_sup([p[0] for p in subset])
+                sup_out = v_sup([p[1] for p in subset])
+                expected = table.get(sup_in.coords)
+                if expected is None:
+                    yield subset, "supremum pair absent from the sample"
+                elif expected != sup_out.coords:
+                    yield subset, "supremum of outputs disagrees with the sampled output"
+
     report = CheckReport()
-    report.record("graph-sup-closed", witness is None, witness)
+    report.record_first("graph-sup-closed", violations())
     return report

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 
 @dataclass
@@ -25,6 +25,18 @@ class CheckReport:
 
     def record(self, name: str, passed: bool, witness: object = None) -> None:
         self.entries.append(CheckEntry(name, passed, witness))
+
+    def record_first(self, name: str, failures: Iterable) -> None:
+        """Record a check that fails iff the lazy iterable of failing cases yields an item.
+
+        The first case yielded is the witness; the iterable is not read past it.
+        A witness may be falsy (the empty subset is ``()``), so only the
+        absence of an item counts as a pass.
+        """
+        for witness in failures:
+            self.record(name, False, witness)
+            return
+        self.record(name, True)
 
     @property
     def all_passed(self) -> bool:

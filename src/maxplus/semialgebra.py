@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple, Union
 
+from .functionals import ZeroFunctionalError, star_eval
 from .report import CheckReport
 from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, big_sup,
                       NotInvertibleError, s_inv, s_mul)
@@ -19,10 +20,6 @@ from .semimodules import DimensionMismatchError, FinVector
 
 class OutsideProperSpaceWarning(UserWarning):
     """The recovered element has a -inf value, so it is not a bounded function proper."""
-
-
-class ZeroFunctionalError(ValueError):
-    pass
 
 
 class NotRepresentableError(ValueError):
@@ -110,7 +107,6 @@ def idempotent_integral(phi: AlgebraElement, weight: AlgebraElement) -> Extended
 
 def check_prop4(x: AlgebraElement, y: AlgebraElement) -> CheckReport:
     """Compare the dual evaluation of x at y with the identity's dual at y * x^-1."""
-    from .functionals import star_eval
     if not x.is_proper():
         raise NotInvertibleError("the identity requires an invertible element")
     _check_same_x(x, y)

@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .report import CheckReport
 from .scalars import (BOTTOM, TOP, ExtendedScalar, big_inf, big_sup, finite,
-                      s_add, s_mul)
+                      s_add, s_div_dual, s_mul)
 
 
 class DimensionMismatchError(ValueError):
@@ -80,8 +80,7 @@ def v_scale(k: ExtendedScalar, x: FinVector) -> FinVector:
 
 
 def v_leq(x: FinVector, y: FinVector) -> bool:
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    _join_labels(x, y)
     return all(a <= b for a, b in zip(x.coords, y.coords))
 
 
@@ -103,11 +102,12 @@ def v_inf(xs: Iterable[FinVector], dim: Optional[int] = None) -> FinVector:
         if dim is None:
             raise DimensionMismatchError("empty infimum needs an explicit dimension")
         return top_vector(dim)
-    labels = xs[0].labels
-    for x in xs[1:]:
-        labels = _join_labels(xs[0], x)
-    return FinVector(tuple(big_inf(x.coords[j] for x in xs) for j in range(xs[0].dim)),
-                     labels)
+    # Check every vector against the first labeled one, so no two labelings can disagree.
+    first = next((x for x in xs if x.labels is not None), xs[0])
+    for x in xs:
+        _join_labels(first, x)
+    return FinVector(tuple(big_inf(x.coords[j] for x in xs) for j in range(first.dim)),
+                     first.labels)
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,6 @@ class SpanBasis:
         return len(self.generators)
 
 
-def _residual(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
-    """Greatest k with k*b <= a (residuation of the scalar multiplication)."""
-    if b.is_bottom():
-        return TOP                       # no constraint: k*(-inf) = -inf <= a always
-    if b.is_top():
-        return TOP if a.is_top() else BOTTOM   # only k = -inf keeps k*(+inf) below a
-    if a.is_top():
-        return TOP
-    if a.is_bottom():
-        return BOTTOM
-    return finite(a.q - b.q)
-
-
 def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     """Residuated projection of y onto the span of w.
 
@@ -152,9 +139,8 @@ def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     """
     parts = []
     for g in w.generators:
-        if g.dim != y.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {y.dim}")
-        k = big_inf(_residual(a, b) for a, b in zip(y.coords, g.coords))
+        _join_labels(g, y)
+        k = big_inf(s_div_dual(a, b) for a, b in zip(y.coords, g.coords))
         parts.append(v_scale(k, g))
     projection = FinVector(v_sup(parts, dim=y.dim).coords, y.labels)
     return projection, projection.coords == y.coords
@@ -181,42 +167,14 @@ def check_b_space_axioms(samples: Sequence[FinVector],
     subsets_x = [list(c) for r in range(len(samples) + 1)
                  for c in itertools.combinations(samples, r)]
 
-    witness = None
-    for q in nonempty_qs:
-        for x in samples:
-            if x.is_all_top():
-                continue
-            lhs = v_scale(big_inf(q), x)
-            rhs = v_inf([v_scale(k, x) for k in q])
-            if lhs != rhs:
-                witness = (q, x)
-                break
-        if witness:
-            break
-    report.record("meet-law", witness is None, witness)
-
-    witness = None
-    for q in all_qs:
-        for x in samples:
-            lhs = v_scale(big_sup(q), x)
-            rhs = v_sup([v_scale(k, x) for k in q], dim=dim)
-            if lhs != rhs:
-                witness = (q, x)
-                break
-        if witness:
-            break
-    report.record("generalized-distributive-scalars", witness is None, witness)
-
-    witness = None
-    for k in scalars:
-        for xs in subsets_x:
-            lhs = v_scale(k, v_sup(xs, dim=dim))
-            rhs = v_sup([v_scale(k, x) for x in xs], dim=dim)
-            if lhs != rhs:
-                witness = (k, xs)
-                break
-        if witness:
-            break
-    report.record("generalized-distributive-vectors", witness is None, witness)
+    report.record_first("meet-law", (
+        (q, x) for q in nonempty_qs for x in samples
+        if not x.is_all_top() and v_scale(big_inf(q), x) != v_inf([v_scale(k, x) for k in q])))
+    report.record_first("generalized-distributive-scalars", (
+        (q, x) for q in all_qs for x in samples
+        if v_scale(big_sup(q), x) != v_sup([v_scale(k, x) for k in q], dim=dim)))
+    report.record_first("generalized-distributive-vectors", (
+        (k, xs) for k in scalars for xs in subsets_x
+        if v_scale(k, v_sup(xs, dim=dim)) != v_sup([v_scale(k, x) for x in xs], dim=dim)))
 
     return report

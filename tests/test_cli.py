@@ -52,6 +52,27 @@ def test_extend_inconsistent_exits_1(files, capsys):
     assert "violation" in err
 
 
+def test_negative_scalar_tokens_are_values(files, capsys):
+    gens = files("w.vec", "0 -inf\n-inf 0\n")
+    for values, rep in ((["0", "-inf"], "0 +inf"), (["0", "-1/2"], "0 1/2"),
+                        (["-inf", "-1/2"], "+inf 1/2")):
+        code, out, err = run_cli(["extend", "--generators", gens, "--values", *values,
+                                  "--dim", "2"], capsys)
+        assert (code, err) == (0, ""), values
+        assert out.splitlines()[1] == rep
+    code, out, _ = run_cli(["check-axioms", "--semiring", "maxplus",
+                            "--sample", "-inf", "-1/2", "0", "-.5", "+inf"], capsys)
+    assert code == 0 and out.count("PASS") == 11
+
+
+def test_eval_star_refuses_disagreeing_labels(files, capsys):
+    x = files("x.vec", "# labels: a b\n1 2\n")
+    y = files("y.vec", "# labels: b a\n3 4\n")
+    code, out, err = run_cli(["eval-star", "--x", x, "--y", y], capsys)
+    assert (code, out) == (2, "")
+    assert "coordinate labels disagree" in err
+
+
 def test_separate(files, capsys):
     x = files("x.vec", "0 0\n")
     y = files("y.vec", "1 0\n")

@@ -256,6 +256,9 @@ def test_negation_map_fails_with_witness():
     entry = report.entry("sup-preservation")
     assert not entry.passed
     assert entry.witness is not None
+    # The empty subset already fails (negation sends the zero to +inf), and its
+    # witness is the falsy () rather than a missing one.
+    assert entry.witness == ()
 
 
 def test_graph_sup_closed_on_functional_sample():

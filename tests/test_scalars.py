@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
+from _oracles import greatest_scaling, star_oracle
 
 finites = st.fractions(min_value=-50, max_value=50, max_denominator=12).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -145,3 +146,56 @@ def test_scalar_text_round_trip():
     assert mp.format_scalar(mp.parse_scalar("-2.5")) == "-5/2"
     with pytest.raises(ValueError):
         mp.parse_scalar("oops")
+
+
+# --- residuals ---------------------------------------------------------------
+
+_TABLE_SAMPLE = ["-inf", "-1", "0", "2", "+inf"]
+# S_DIV[i][j] = s_div(sample[i], sample[j]): least k with a <= k*b.
+_S_DIV = [
+    ["-inf", "-inf", "-inf", "-inf", "-inf"],
+    ["+inf", "0", "-1", "-3", "-inf"],
+    ["+inf", "1", "0", "-2", "-inf"],
+    ["+inf", "3", "2", "0", "-inf"],
+    ["+inf", "+inf", "+inf", "+inf", "-inf"],
+]
+
+
+def test_residual_pair_table():
+    sample = [mp.parse_scalar(t) for t in _TABLE_SAMPLE]
+    for i, a in enumerate(sample):
+        for j, b in enumerate(sample):
+            want = mp.parse_scalar(_S_DIV[i][j])
+            assert mp.s_div(a, b) == want, (a, b)
+            # The pair differs only where both are -inf or both are +inf.
+            want_dual = mp.TOP if i == j and not a.is_finite() else want
+            assert mp.s_div_dual(a, b) == want_dual, (a, b)
+
+
+# Finite values stay in [-5, 5] so every finite residual lies inside the oracles'
+# grids; one_of draws -inf and +inf a third of the time each.
+grid_scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP),
+                         st.integers(min_value=-5, max_value=5).map(mp.finite))
+
+
+@given(grid_scalars, grid_scalars)
+def test_residual_pair_matches_grid_oracles(a, b):
+    least = star_oracle(mp.vector([b]), mp.vector([a]))
+    # Every finite k works against a +inf divisor; that set has infimum -inf,
+    # which the grid can only show as its lowest point.
+    if least == mp.finite(-20):
+        least = mp.BOTTOM
+    assert mp.s_div(a, b) == least
+    assert mp.s_div_dual(a, b) == greatest_scaling(mp.vector([b]), mp.vector([a]))
+
+
+def test_integral_values_are_stored_as_int():
+    six_halves = mp.finite(Fraction(6, 2))
+    assert six_halves == mp.finite(3) == mp.parse_scalar("6/2") == mp.parse_scalar("3.0")
+    assert hash(six_halves) == hash(mp.finite(3)) == hash(mp.finite(Fraction(3)))
+    assert type(six_halves.q) is int and type(mp.parse_scalar("-6/2").q) is int
+    assert mp.format_scalar(six_halves) == mp.format_scalar(mp.finite(3)) == "3"
+    assert mp.finite(Fraction(1, 2)).q == Fraction(1, 2)
+    # Mixed int and Fraction storage compares and adds exactly.
+    assert mp.s_mul(mp.finite(Fraction(1, 2)), mp.finite(Fraction(1, 2))) == mp.finite(1)
+    assert mp.finite(1) < mp.finite(Fraction(3, 2)) <= mp.finite(Fraction(3, 2))

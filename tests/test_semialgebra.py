@@ -131,6 +131,11 @@ def test_riesz_zero_functional_errors():
         sa.riesz_representer(lambda y: mp.BOTTOM, X)
 
 
+def test_riesz_zero_functional_is_the_package_error():
+    with pytest.raises(mp.ZeroFunctionalError):
+        sa.riesz_representer(lambda y: mp.BOTTOM, X)
+
+
 def test_riesz_top_value_not_representable():
     with pytest.raises(sa.NotRepresentableError):
         sa.riesz_representer(lambda y: mp.TOP, X)

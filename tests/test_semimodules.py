@@ -161,3 +161,24 @@ def test_labels_flow_through_operations():
     assert mp.v_add(x, y).labels == ("a", "b")
     with pytest.raises(mp.DimensionMismatchError):
         mp.v_add(x, mp.vector([0, 3], labels=["a", "c"]))
+
+
+def test_one_label_rule_for_every_binary_kernel():
+    ab = mp.vector([1, 2], labels=["a", "b"])
+    ba = mp.vector([3, 4], labels=["b", "a"])
+    plain = mp.vector([0, 0])
+    for kernel in (mp.star_eval, mp.v_leq,
+                   lambda x, y: mp.project_onto_span(y, mp.SpanBasis.of([x]))):
+        kernel(ab, plain)
+        kernel(plain, ab)
+        with pytest.raises(mp.DimensionMismatchError, match="labels disagree"):
+            kernel(ab, ba)
+        with pytest.raises(mp.DimensionMismatchError):
+            kernel(ab, mp.vector([0, 0, 0]))
+
+
+def test_v_inf_checks_every_labeling():
+    cd = mp.vector([5, 6], labels=["c", "d"])
+    with pytest.raises(mp.DimensionMismatchError, match="labels disagree"):
+        mp.v_inf([mp.vector([0, 0]), mp.vector([1, 2], labels=["a", "b"]), cd])
+    assert mp.v_inf([mp.vector([0, 9]), cd]).labels == ("c", "d")
