@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .report import CheckReport
-from .scalars import ONE, ExtendedScalar, big_sup, s_div, s_mul
+from .scalars import ONE, ExtendedScalar, big_sup, format_scalar, s_div, s_mul
 from .semimodules import (DimensionMismatchError, FinVector, _join_labels,
                           unit_vector, v_inf, v_scale, v_sup, zero_vector)
 
@@ -99,7 +99,8 @@ def extend_functional(w, values: Sequence[ExtendedScalar],
         if star_eval(x, g) != v:
             raise InconsistentValuesError(
                 f"values do not define an a-linear functional on the span "
-                f"(generator {i} evaluates to {star_eval(x, g)!r}, prescribed {v!r})",
+                f"(generator {i} evaluates to {format_scalar(star_eval(x, g))}, "
+                f"prescribed {format_scalar(v)})",
                 witness=i)
     return FunctionalRep(x)
 
@@ -194,28 +195,26 @@ class LinearMapSample:
 
 
 def graph_sup_closed(g: LinearMapSample) -> CheckReport:
-    """Check that a sampled graph is closed under suprema of its subsets.
+    """Check that a sampled graph is closed under suprema of its nonempty subsets.
 
-    For every nonempty subset the pair of coordinatewise suprema must itself
-    be a sampled pair; the smallest violating subset is reported.
+    A singleton is its own supremum, and closure under binary suprema gives
+    closure under every finite one, so only pairs are examined; the first
+    violating pair is also the smallest violating subset.
     """
     pairs = list(g.pairs)
     if not pairs:
         raise ValueError("empty graph sample")
-    if len(pairs) > 16:
-        raise ValueError("graph samples limited to 16 pairs")
     table = {p[0].coords: p[1].coords for p in pairs}
 
     def violations():
-        for r in range(1, len(pairs) + 1):
-            for subset in itertools.combinations(pairs, r):
-                sup_in = v_sup([p[0] for p in subset])
-                sup_out = v_sup([p[1] for p in subset])
-                expected = table.get(sup_in.coords)
-                if expected is None:
-                    yield subset, "supremum pair absent from the sample"
-                elif expected != sup_out.coords:
-                    yield subset, "supremum of outputs disagrees with the sampled output"
+        for subset in itertools.combinations(pairs, 2):
+            sup_in = v_sup([p[0] for p in subset])
+            sup_out = v_sup([p[1] for p in subset])
+            expected = table.get(sup_in.coords)
+            if expected is None:
+                yield subset, "supremum pair absent from the sample"
+            elif expected != sup_out.coords:
+                yield subset, "supremum of outputs disagrees with the sampled output"
 
     report = CheckReport()
     report.record_first("graph-sup-closed", violations())

@@ -8,7 +8,6 @@ to the completion routines (the completion is what restores the joins), but
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -35,18 +34,17 @@ class FiniteIS:
             raise PosetError("duplicate element labels")
         index = {lab: i for i, lab in enumerate(elements)}
         n = len(elements)
-        rel = {(i, i) for i in range(n)}
+        up = [{i} for i in range(n)]
         for a, b in pairs:
             if a not in index or b not in index:
                 raise PosetError(f"unknown element in relation {a!r} < {b!r}")
-            rel.add((index[a], index[b]))
-        changed = True
-        while changed:
-            changed = False
-            for (i, j), (k, l) in itertools.product(list(rel), repeat=2):
-                if j == k and (i, l) not in rel:
-                    rel.add((i, l))
-                    changed = True
+            up[index[a]].add(index[b])
+        # Warshall: after step k, up[i] holds every j reachable through 0..k.
+        for k in range(n):
+            for i in range(n):
+                if k in up[i]:
+                    up[i] |= up[k]
+        rel = {(i, j) for i in range(n) for j in up[i]}
         s = cls(elements, frozenset(rel))
         s.validate()
         return s
@@ -88,11 +86,6 @@ class FiniteIS:
         return frozenset(j for j in range(len(self.elements))
                          if all(self.leq(i, j) for i in subset))
 
-    def lower_bounds(self, subset: Iterable[int]) -> FrozenSet[int]:
-        subset = list(subset)
-        return frozenset(j for j in range(len(self.elements))
-                         if all(self.leq(j, i) for i in subset))
-
     def join_index(self, subset: Iterable[int]) -> Optional[int]:
         """Index of the least upper bound of a subset, or None if it does not exist."""
         ub = self.upper_bounds(subset)
@@ -120,15 +113,8 @@ class FiniteIS:
         return None
 
     def is_complete_lattice(self) -> bool:
-        n = len(self.elements)
-        for mask in range(1 << n):
-            subset = [i for i in range(n) if mask >> i & 1]
-            if self.join_index(subset) is None:
-                return False
-            lb = self.lower_bounds(subset)
-            if not any(all(self.leq(v, u) for v in lb) for u in lb):
-                return False
-        return True
+        """A finite poset is a complete lattice iff it has a bottom and all binary joins."""
+        return self.bottom_index() is not None and self.has_all_joins()
 
 
 def standard_order(s: FiniteIS, x: str, y: str) -> bool:
@@ -143,14 +129,18 @@ class CompletionResult:
 
 
 def _enumerate_cuts(s: FiniteIS) -> List[FrozenSet[int]]:
+    """Every cut, sorted by (size, members).
+
+    The cuts are exactly the intersections of principal down-sets, the empty
+    intersection being the full set, so closing {full set} under intersection
+    with each down-set in turn finds them all in O(n * cuts) intersections.
+    """
     n = len(s.elements)
-    cuts = []
-    for mask in range(1 << n):
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        if s.lower_bounds(s.upper_bounds(subset)) == subset:
-            cuts.append(subset)
-    cuts.sort(key=lambda c: (len(c), sorted(c)))
-    return cuts
+    cuts = {frozenset(range(n))}
+    for i in range(n):
+        down = s.down_set(i)
+        cuts |= {cut & down for cut in cuts}
+    return sorted(cuts, key=lambda c: (len(c), sorted(c)))
 
 
 def dm_completion(s: FiniteIS) -> CompletionResult:

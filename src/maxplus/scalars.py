@@ -160,13 +160,31 @@ def big_inf(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:
     return best
 
 
+# Python will not print an int of more than 4300 digits (its default
+# int_max_str_digits), so a literal whose value would need more is refused.
+MAX_LITERAL_DIGITS = 4300
+
+
 def parse_scalar(token: str) -> ExtendedScalar:
-    """Parse the scalar text syntax: -inf, +inf, or an exact decimal/rational literal."""
+    """Parse the scalar text syntax: -inf, +inf, or an exact decimal/rational literal.
+
+    A literal whose value would need more than MAX_LITERAL_DIGITS digits is
+    refused from its text, before Fraction builds any power of ten.
+    """
     if token == "-inf":
         return BOTTOM
     if token == "+inf":
         return TOP
     try:
+        # Only an exponent or an overlong token can exceed the bound; int() bounds p/q.
+        if ("e" in token or "E" in token
+                or len(token) > MAX_LITERAL_DIGITS) and "/" not in token:
+            mantissa, _, exp = token.lower().partition("e")
+            # shift = exponent - fraction digits; the denominator has 1 - shift digits
+            shift = int(exp or 0) - sum(c.isdigit() for c in mantissa.partition(".")[2])
+            digits = sum(c.isdigit() for c in mantissa)
+            if max(digits + max(shift, 0), 1 - shift) > MAX_LITERAL_DIGITS:
+                raise ValueError("literal has too many digits")
         return finite(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar token {token!r}") from exc
@@ -198,8 +216,6 @@ class SemiringDescriptor:
     zero: object
     one: object
     inverse: Optional[Callable] = None
-    is_b_complete: bool = False
-    is_a_complete: bool = False
 
     def __post_init__(self):
         if self.zero == self.one:
@@ -217,7 +233,7 @@ class SemiringDescriptor:
 
 
 def boolean_semifield() -> SemiringDescriptor:
-    """The two-element semifield {0, 1} with or/and."""
+    """The two-element semifield {0, 1} with or/and; b-complete and a-complete."""
     return SemiringDescriptor(
         name="boolean",
         elements=(False, True),
@@ -226,13 +242,11 @@ def boolean_semifield() -> SemiringDescriptor:
         zero=False,
         one=True,
         inverse=lambda a: a,
-        is_b_complete=True,
-        is_a_complete=True,
     )
 
 
 def extended_maxplus() -> SemiringDescriptor:
-    """The extended max-plus carrier as a descriptor (not a semifield: +inf has no inverse)."""
+    """The extended carrier: a- and b-complete, not a semifield (+inf has no inverse)."""
     return SemiringDescriptor(
         name="extended-maxplus",
         elements=None,
@@ -241,13 +255,11 @@ def extended_maxplus() -> SemiringDescriptor:
         zero=BOTTOM,
         one=ONE,
         inverse=None,
-        is_b_complete=True,
-        is_a_complete=True,
     )
 
 
 def maxplus_semifield() -> SemiringDescriptor:
-    """Max-plus over {-inf} + Q: b-complete semifield (no +inf)."""
+    """Max-plus over {-inf} + Q: a b-complete semifield, not a-complete (no +inf)."""
     return SemiringDescriptor(
         name="maxplus",
         elements=None,
@@ -256,8 +268,6 @@ def maxplus_semifield() -> SemiringDescriptor:
         zero=BOTTOM,
         one=ONE,
         inverse=s_inv,
-        is_b_complete=True,
-        is_a_complete=False,
     )
 
 

@@ -2,11 +2,12 @@
 
 These deliberately avoid the closed forms under test: evaluation is checked by
 scanning a coefficient grid, membership by enumerating integer coefficient
-combinations, and scalar products by exhaustive max over the point set.
+combinations, scalar products by exhaustive max over the point set, and the
+order and graph-closure checks by scanning every subset.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import maxplus as mp
 
@@ -56,3 +57,60 @@ def scalar_product_oracle(a, b):
         if best is None or s > best:
             best = s
     return mp.BOTTOM if best is None else mp.finite(best)
+
+
+def _upper_bounds(s, subset):
+    return {j for j in range(len(s.elements)) if all(s.leq(i, j) for i in subset)}
+
+
+def _lower_bounds(s, subset):
+    return {j for j in range(len(s.elements)) if all(s.leq(j, i) for i in subset)}
+
+
+def _subsets(n):
+    for mask in range(1 << n):
+        yield {i for i in range(n) if mask >> i & 1}
+
+
+def cuts_oracle(s):
+    """The subsets X of a finite poset with L(U(X)) = X, sorted by (size, members)."""
+    cuts = [frozenset(x) for x in _subsets(len(s.elements))
+            if _lower_bounds(s, _upper_bounds(s, x)) == x]
+    return sorted(cuts, key=lambda c: (len(c), sorted(c)))
+
+
+def complete_lattice_oracle(s):
+    """Does every subset, the empty one included, have a join and a meet?"""
+    for x in _subsets(len(s.elements)):
+        ub, lb = _upper_bounds(s, x), _lower_bounds(s, x)
+        if not any(all(s.leq(u, v) for v in ub) for u in ub):
+            return False
+        if not any(all(s.leq(v, u) for v in lb) for u in lb):
+            return False
+    return True
+
+
+def closure_oracle(n, pairs):
+    """Reflexive-transitive closure of index pairs, composing to a fixpoint."""
+    rel = {(i, i) for i in range(n)} | set(pairs)
+    while True:
+        extra = {(i, l) for i, j in rel for k, l in rel if j == k} - rel
+        if not extra:
+            return frozenset(rel)
+        rel |= extra
+
+
+def graph_violation_oracle(pairs):
+    """The first nonempty subset of a sampled graph, by size then position,
+    whose pair of suprema is absent or disagrees, with its reason; else None."""
+    table = {p[0].coords: p[1].coords for p in pairs}
+    for r in range(1, len(pairs) + 1):
+        for subset in combinations(pairs, r):
+            sup_in = mp.v_sup([p[0] for p in subset])
+            sup_out = mp.v_sup([p[1] for p in subset])
+            expected = table.get(sup_in.coords)
+            if expected is None:
+                return subset, "supremum pair absent from the sample"
+            if expected != sup_out.coords:
+                return subset, "supremum of outputs disagrees with the sampled output"
+    return None

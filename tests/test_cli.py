@@ -50,6 +50,11 @@ def test_extend_inconsistent_exits_1(files, capsys):
                             "--values", "0", "0", "--dim", "2"], capsys)
     assert code == 1
     assert "violation" in err
+    gens = files("g.vec", "0 1 2\n-inf 0 +inf\n")
+    code, _, err = run_cli(["extend", "--generators", gens,
+                            "--values", "0", "-1/2", "--dim", "3"], capsys)
+    assert code == 1
+    assert "generator 1 evaluates to -1, prescribed -1/2" in err
 
 
 def test_negative_scalar_tokens_are_values(files, capsys):
@@ -71,6 +76,14 @@ def test_eval_star_refuses_disagreeing_labels(files, capsys):
     code, out, err = run_cli(["eval-star", "--x", x, "--y", y], capsys)
     assert (code, out) == (2, "")
     assert "coordinate labels disagree" in err
+
+
+def test_overlong_literal_is_a_parse_error(files, capsys):
+    x = files("x.vec", "0\n")
+    y = files("y.vec", "1e5000\n")
+    code, out, err = run_cli(["eval-star", "--x", x, "--y", y], capsys)
+    assert (code, out) == (2, "")
+    assert "line 1, column 1: bad scalar token '1e5000'" in err
 
 
 def test_separate(files, capsys):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.functionals import LinearMapSample
-from _oracles import star_oracle
+from _oracles import graph_violation_oracle, star_oracle
 
 rng = random.Random(2024)
 
@@ -288,6 +290,44 @@ def test_graph_missing_sup_pair_reported():
 def test_graph_singleton_closed():
     pairs = [(mp.vector([1, 2]), mp.vector([3]))]
     assert mp.graph_sup_closed(LinearMapSample.of(pairs)).all_passed
+
+
+def oracle_lines(pairs):
+    witness = graph_violation_oracle(pairs)
+    if witness is None:
+        return ["graph-sup-closed: PASS"]
+    return [f"graph-sup-closed: FAIL witness={witness!r}"]
+
+
+# -inf is drawn about half the time; +inf and the finite values share the rest.
+graph_scalars = st.one_of(st.just(mp.BOTTOM), st.one_of(
+    st.just(mp.TOP), st.integers(min_value=-1, max_value=1).map(mp.finite)))
+graph_vectors = st.lists(graph_scalars, min_size=2, max_size=2).map(
+    lambda c: mp.FinVector(tuple(c)))
+
+
+@given(st.lists(graph_vectors, min_size=1, max_size=8, unique_by=lambda v: v.coords),
+       st.booleans(), st.data())
+def test_graph_check_matches_subset_oracle(inputs, functional, data):
+    if functional:
+        # the graph of an a-linear functional passes whenever it is sup-closed
+        f = mp.FunctionalRep(data.draw(graph_vectors))
+        outputs = [mp.FinVector((f(v),)) for v in inputs]
+    else:
+        outputs = data.draw(st.lists(graph_vectors, min_size=len(inputs),
+                                     max_size=len(inputs)))
+    pairs = list(zip(inputs, outputs))
+    assert mp.graph_sup_closed(LinearMapSample.of(pairs)).lines() == oracle_lines(pairs)
+
+
+def test_graph_check_has_no_pair_cap():
+    chain = [(mp.vector([k, 2 * k]), mp.vector([k])) for k in range(20)]
+    assert mp.graph_sup_closed(LinearMapSample.of(chain)).all_passed
+    broken = chain[:18] + [(mp.vector([30, mp.BOTTOM]), mp.vector([0])),
+                           (mp.vector([mp.BOTTOM, 30]), mp.vector([0]))]
+    report = mp.graph_sup_closed(LinearMapSample.of(broken))
+    assert not report.all_passed
+    assert report.lines() == oracle_lines(broken)
 
 
 def test_graph_duplicate_inputs_rejected():

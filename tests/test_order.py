@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 import maxplus as mp
 from maxplus.order import FiniteIS
 from maxplus.selftest import all_small_posets
+from _oracles import closure_oracle, complete_lattice_oracle, cuts_oracle
 
 
 def chain(*labels):
@@ -135,3 +138,43 @@ def test_order_isomorphic():
 def test_has_all_joins():
     assert chain("a", "b").has_all_joins()
     assert not FiniteIS.antichain(["a", "b"]).has_all_joins()
+
+
+def inclusion_relation(cuts):
+    return frozenset((i, j) for i, a in enumerate(cuts)
+                     for j, b in enumerate(cuts) if a <= b)
+
+
+def test_completion_and_lattice_check_match_subset_oracles():
+    for s in all_small_posets(5):
+        cuts = cuts_oracle(s)
+        lattice = mp.dm_completion(s).completed
+        assert len(lattice.elements) == len(cuts)
+        assert lattice.relation == inclusion_relation(cuts)
+        assert s.is_complete_lattice() == complete_lattice_oracle(s)
+        assert lattice.is_complete_lattice() and complete_lattice_oracle(lattice)
+
+
+def test_crown_completes_to_oracle_cuts():
+    # The 10-element crown, a_i < b_j for i != j, inside the 12-element cap.
+    a = [f"a{i}" for i in range(5)]
+    b = [f"b{j}" for j in range(5)]
+    crown = FiniteIS.from_pairs(a + b, [(a[i], b[j]) for i in range(5)
+                                        for j in range(5) if i != j])
+    lattice = mp.dm_completion(crown).completed
+    cuts = cuts_oracle(crown)
+    assert len(cuts) == len(lattice.elements) == 32
+    assert lattice.relation == inclusion_relation(cuts)
+
+
+def test_from_pairs_matches_closure_oracle_on_random_dags():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        # edges go up a random linear order, so the relation is acyclic
+        rank = rng.sample(range(n), n)
+        edges = [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.3]
+        labels = [f"e{i}" for i in range(n)]
+        s = FiniteIS.from_pairs(labels, [(labels[i], labels[j]) for i, j in edges])
+        assert s.relation == closure_oracle(n, edges)

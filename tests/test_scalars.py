@@ -148,6 +148,21 @@ def test_scalar_text_round_trip():
         mp.parse_scalar("oops")
 
 
+def test_parse_scalar_bounds_literal_digits():
+    with pytest.raises(ValueError, match="bad scalar token '1e5000'"):
+        mp.parse_scalar("1e5000")
+    with pytest.raises(ValueError, match="bad scalar token"):
+        mp.parse_scalar("1e-4300")     # a 4301-digit denominator
+    big = mp.parse_scalar("1e4000")
+    assert mp.format_scalar(big) == "1" + "0" * 4000
+    assert mp.parse_scalar(mp.format_scalar(big)) == big
+
+
+def test_parse_scalar_refuses_huge_exponent_without_expanding_it():
+    with pytest.raises(ValueError, match="bad scalar token '1e999999999'"):
+        mp.parse_scalar("1e999999999")
+
+
 # --- residuals ---------------------------------------------------------------
 
 _TABLE_SAMPLE = ["-inf", "-1", "0", "2", "+inf"]
