@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for values and passing checks, 1 for a property violation,
-2 for usage, file, or parse errors.
+2 for usage, file, or parse errors, 3 for an internal error (a fault in this
+program, reported as "internal error: <type>: <message>" after its traceback).
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ import sys
 from typing import List, Optional
 
 from . import formats, order, selftest, semialgebra
-from .functionals import (EqualPointsError, FunctionalRep,
-                          InconsistentValuesError, LinearMapSample,
-                          check_a_linear, graph_sup_closed, pointwise_sup,
-                          recover_representer, separate_points,
-                          extend_functional)
-from .scalars import (NotInvertibleError, boolean_semifield,
-                      check_semiring_axioms, extended_maxplus, format_scalar,
-                      parse_scalar)
-from .semimodules import DimensionMismatchError, SpanBasis
+from .functionals import (FunctionalRep, InconsistentValuesError,
+                          LinearMapSample, check_a_linear, extend_functional,
+                          graph_sup_closed, pointwise_sup, recover_representer,
+                          separate_points)
+from .scalars import (boolean_semifield, check_semiring_axioms,
+                      extended_maxplus, format_scalar, parse_scalar)
+from .semimodules import SpanBasis
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -42,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         if _NEGATIVE_SCALAR.fullmatch(arg_string):
             return None
         return super()._parse_optional(arg_string)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-alinear", help="sup-preservation check for a functional")
     p.add_argument("--functional", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=6)
+    p.add_argument("--samples", type=positive_int, default=6)
     p.set_defaults(run=cmd_check_alinear)
 
     p = sub.add_parser("check-graph", help="sup-closure check for a sampled graph")
@@ -253,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run every theorem suite and print a scoreboard")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dim", type=int, default=5)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--dim", type=positive_int, default=5)
+    p.add_argument("--samples", type=positive_int, default=200)
     p.set_defaults(run=cmd_selftest)
 
     return parser
@@ -268,10 +275,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InconsistentValuesError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (UsageError, formats.ParseError, order.PosetError,
-            DimensionMismatchError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only a fault in this program gets here; keep it out of start-up
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

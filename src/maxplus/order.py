@@ -176,7 +176,7 @@ def dm_completion(s: FiniteIS) -> CompletionResult:
     completed = FiniteIS(tuple(labels), relation)
     completed.validate()
     if not completed.is_complete_lattice():
-        raise PosetError("internal error: cut completion is not a complete lattice")
+        raise RuntimeError("cut completion is not a complete lattice")
     embedding = {s.elements[i]: principal[s.down_set(i)] for i in range(n)}
     return CompletionResult(completed, embedding)
 

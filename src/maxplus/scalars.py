@@ -191,11 +191,16 @@ def parse_scalar(token: str) -> ExtendedScalar:
 
 
 def format_scalar(a: ExtendedScalar) -> str:
+    """Print in the syntax parse_scalar reads back; a longer value than it reads is refused."""
     if a.kind == _BOT:
         return "-inf"
     if a.kind == _TOP:
         return "+inf"
-    return str(a.q)
+    try:
+        return str(a.q)
+    except ValueError as exc:
+        raise ValueError(f"result needs more than {MAX_LITERAL_DIGITS} digits "
+                         "and cannot be printed") from exc
 
 
 # --- pluggable semiring instances -------------------------------------------

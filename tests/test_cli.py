@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import maxplus as mp
 from maxplus.cli import main
 
 
@@ -76,6 +77,56 @@ def test_eval_star_refuses_disagreeing_labels(files, capsys):
     code, out, err = run_cli(["eval-star", "--x", x, "--y", y], capsys)
     assert (code, out) == (2, "")
     assert "coordinate labels disagree" in err
+
+
+def test_function_verbs_refuse_disagreeing_labels(files, capsys):
+    ab = files("ab.fun", "# labels: a b\n1 2\n")
+    ba = files("ba.fun", "# labels: b a\n3 4\n")
+    abc = files("abc.fun", "# labels: a b c\n1 2 3\n")
+    for other, message in ((ba, "coordinate labels disagree"),
+                           (abc, "dimension mismatch: 2 vs 3")):
+        for argv in (["scalar-product", "--f1", ab, "--f2", other],
+                     ["integrate", "--phi", ab, "--weight", other],
+                     ["prop4", "--x", ab, "--y", other]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert message in err, argv
+
+
+@pytest.mark.parametrize("argv", [["selftest", "--samples", "-5"], ["selftest", "--dim", "0"],
+                                  ["check-alinear", "--functional", "f.fn", "--samples", "0"]])
+def test_counts_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: maxplus")
+    assert "must be a positive integer" in err
+
+
+def test_unprintable_result_exits_2(files, capsys):
+    x = files("x.vec", "-9" + "0" * 4299 + "\n")
+    y = files("y.vec", "9" + "0" * 4299 + "\n")
+    code, out, err = run_cli(["eval-star", "--x", x, "--y", y], capsys)
+    assert (code, out) == (2, "")
+    assert "result needs more than 4300 digits and cannot be printed" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_internal_fault_exits_3(files, capsys, monkeypatch):
+    monkeypatch.setattr(mp.FiniteIS, "is_complete_lattice", lambda self: False)
+    poset = files("anti.pos", "elements: a b\n")
+    code, out, err = run_cli(["dm-complete", "--poset", poset], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == ("internal error: RuntimeError: "
+                                    "cut completion is not a complete lattice")
+
+
+def test_zero_functional_is_a_usage_error(files, capsys):
+    fn = files("z.fn", "# functional-representer dim=2\n+inf +inf\n")
+    code, out, err = run_cli(["recover", "--functional", fn], capsys)
+    assert (code, out) == (2, "")
+    assert "zero functional has no representer" in err
 
 
 def test_overlong_literal_is_a_parse_error(files, capsys):
