@@ -96,10 +96,10 @@ def cmd_recover(args) -> int:
 def cmd_extend(args) -> int:
     generators = formats.parse_vectors(_read(args.generators))
     values = [parse_scalar(tok) for tok in args.values]
-    basis = SpanBasis.of(generators)
-    if len(values) != basis.count:
-        raise UsageError(f"{basis.count} generators but {len(values)} values")
-    f = extend_functional(basis, values, args.dim)
+    # Count every line, all -inf ones too: extend_functional checks their values.
+    if len(values) != len(generators):
+        raise UsageError(f"{len(generators)} generators but {len(values)} values")
+    f = extend_functional(SpanBasis(tuple(generators)), values, args.dim)
     sys.stdout.write(formats.format_functional(f))
     return EXIT_OK
 

@@ -150,14 +150,12 @@ def parse_poset(text: str) -> FiniteIS:
 
 
 def format_poset(s: FiniteIS) -> str:
+    """The 'elements:' line, then each cover relation: i < j with nothing strictly between."""
     n = len(s.elements)
+    downs = [s.down_set(j) for j in range(n)]
     lines = ["elements: " + " ".join(s.elements)]
     for i in range(n):
-        for j in range(n):
-            if i == j or not s.leq(i, j):
-                continue
-            # keep only cover relations: nothing strictly between i and j
-            if any(k not in (i, j) and s.leq(i, k) and s.leq(k, j) for k in range(n)):
-                continue
-            lines.append(f"{s.elements[i]} < {s.elements[j]}")
+        up = s.upper_bounds([i])
+        lines.extend(f"{s.elements[i]} < {s.elements[j]}" for j in range(n)
+                     if i != j and up & downs[j] == {i, j})
     return "\n".join(lines) + "\n"

@@ -112,8 +112,7 @@ def separate_points(x: FinVector, y: FinVector) -> FunctionalRep:
     in which case the one of y must separate: if both failed, the two mutual
     domination inequalities would force x = y.
     """
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    _join_labels(x, y)
     if x.coords == y.coords:
         raise EqualPointsError("points are equal; no separating functional exists")
     fx = FunctionalRep(x)
@@ -151,21 +150,12 @@ def check_a_linear(map_fn: VectorMap,
         raise ValueError("need at least one test vector")
     dim = test_vectors[0].dim
     report = CheckReport()
-
-    def out_sup(outputs):
-        if outputs and isinstance(outputs[0], ExtendedScalar):
-            return big_sup(outputs)
-        if not outputs:
-            probe = map_fn(zero_vector(dim))
-            if isinstance(probe, ExtendedScalar):
-                return big_sup([])
-            return v_sup([], dim=probe.dim)
-        return v_sup(outputs, dim=outputs[0].dim)
-
-    def out_scale(k, output):
-        if isinstance(output, ExtendedScalar):
-            return s_mul(k, output)
-        return v_scale(k, output)
+    # The image of the zero vector fixes the output algebra, and its dimension.
+    zero_out = map_fn(zero_vector(dim))
+    if isinstance(zero_out, ExtendedScalar):
+        out_sup, out_scale = big_sup, s_mul
+    else:
+        out_sup, out_scale = (lambda outputs: v_sup(outputs, dim=zero_out.dim)), v_scale
 
     subsets = (subset for r in range(len(test_vectors) + 1)
                for subset in itertools.combinations(test_vectors, r))

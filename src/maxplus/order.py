@@ -9,6 +9,8 @@ to the completion routines (the completion is what restores the joins), but
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 COMPLETION_MAX_ELEMENTS = 12
@@ -30,8 +32,6 @@ class FiniteIS:
                    pairs: Iterable[Tuple[str, str]]) -> "FiniteIS":
         """Build from (lower, upper) label pairs, taking the reflexive-transitive closure."""
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise PosetError("duplicate element labels")
         index = {lab: i for i, lab in enumerate(elements)}
         n = len(elements)
         up = [{i} for i in range(n)]
@@ -57,18 +57,26 @@ class FiniteIS:
     def antichain(cls, labels: Sequence[str]) -> "FiniteIS":
         return cls.from_pairs(labels, [])
 
+    @cached_property
+    def _up(self) -> Tuple[FrozenSet[int], ...]:
+        """_up[i] is the principal up-set of i: every j with i <= j."""
+        up = [set() for _ in self.elements]
+        for i, j in self.relation:
+            up[i].add(j)
+        return tuple(frozenset(u) for u in up)
+
     def validate(self) -> None:
-        n = len(self.elements)
-        for i in range(n):
-            if (i, i) not in self.relation:
-                raise PosetError("not a partial order: relation is not reflexive")
-        for i, j in self.relation:
-            if i != j and (j, i) in self.relation:
-                raise PosetError("not a partial order: relation is not antisymmetric")
-        for i, j in self.relation:
-            for k in range(n):
-                if (j, k) in self.relation and (i, k) not in self.relation:
-                    raise PosetError("not a partial order: relation is not transitive")
+        """Refuse repeated labels and any relation that is not a partial order."""
+        if len(set(self.elements)) != len(self.elements):
+            dup = next(e for k, e in enumerate(self.elements) if e in self.elements[:k])
+            raise PosetError(f"duplicate element label {dup!r}")
+        up = self._up
+        if any(i not in up[i] for i in range(len(self.elements))):
+            raise PosetError("not a partial order: relation is not reflexive")
+        if any(i != j and i in up[j] for i, j in self.relation):
+            raise PosetError("not a partial order: relation is not antisymmetric")
+        if any(not up[j] <= up[i] for i, j in self.relation):
+            raise PosetError("not a partial order: relation is not transitive")
 
     # --- basic order queries ---
 
@@ -82,35 +90,27 @@ class FiniteIS:
         return (i, j) in self.relation
 
     def upper_bounds(self, subset: Iterable[int]) -> FrozenSet[int]:
-        subset = list(subset)
-        return frozenset(j for j in range(len(self.elements))
-                         if all(self.leq(i, j) for i in subset))
+        return frozenset(range(len(self.elements))).intersection(
+            *(self._up[i] for i in subset))
 
     def join_index(self, subset: Iterable[int]) -> Optional[int]:
         """Index of the least upper bound of a subset, or None if it does not exist."""
         ub = self.upper_bounds(subset)
-        for u in ub:
-            if all(self.leq(u, v) for v in ub):
-                return u
-        return None
+        return next((u for u in ub if ub <= self._up[u]), None)
 
     def has_all_joins(self) -> bool:
-        n = len(self.elements)
-        return all(self.join_index({i, j}) is not None
-                   for i in range(n) for j in range(n))
+        return all(self.join_index(pair) is not None
+                   for pair in combinations(range(len(self.elements)), 2))
 
-    def down_set(self, i: int) -> FrozenSet[int]:
-        return frozenset(j for j in range(len(self.elements)) if self.leq(j, i))
+    def down_set(self, j: int) -> FrozenSet[int]:
+        return frozenset(i for i, up in enumerate(self._up) if j in up)
 
     def top_index(self) -> Optional[int]:
         return self.join_index(range(len(self.elements))) if self.elements else None
 
     def bottom_index(self) -> Optional[int]:
         n = len(self.elements)
-        for i in range(n):
-            if all(self.leq(i, j) for j in range(n)):
-                return i
-        return None
+        return next((i for i, up in enumerate(self._up) if len(up) == n), None)
 
     def is_complete_lattice(self) -> bool:
         """A finite poset is a complete lattice iff it has a bottom and all binary joins."""
@@ -177,8 +177,8 @@ def dm_completion(s: FiniteIS) -> CompletionResult:
     completed.validate()
     if not completed.is_complete_lattice():
         raise RuntimeError("cut completion is not a complete lattice")
-    embedding = {s.elements[i]: principal[s.down_set(i)] for i in range(n)}
-    return CompletionResult(completed, embedding)
+    # distinct elements have distinct down-sets, so each keeps its own label
+    return CompletionResult(completed, {e: e for e in s.elements})
 
 
 def b_completion(s: FiniteIS) -> CompletionResult:
@@ -202,8 +202,7 @@ def order_isomorphic(s: FiniteIS, t: FiniteIS) -> bool:
         raise PosetError("order_isomorphic limited to 8 elements")
 
     def profile(u: FiniteIS, i: int):
-        return (len(u.down_set(i)),
-                sum(1 for j in range(n) if u.leq(i, j)))
+        return len(u.down_set(i)), len(u.upper_bounds([i]))
 
     sp = [profile(s, i) for i in range(n)]
     tp = [profile(t, i) for i in range(n)]

@@ -60,7 +60,7 @@ class ExtendedScalar:
         return not self < other
 
     def __repr__(self) -> str:
-        return f"ExtendedScalar({format_scalar(self)!r})"
+        return f"ExtendedScalar({_scalar_text(self)!r})"
 
 
 BOTTOM = ExtendedScalar(_BOT)
@@ -201,6 +201,14 @@ def format_scalar(a: ExtendedScalar) -> str:
     except ValueError as exc:
         raise ValueError(f"result needs more than {MAX_LITERAL_DIGITS} digits "
                          "and cannot be printed") from exc
+
+
+def _scalar_text(a: ExtendedScalar) -> str:
+    """format_scalar for repr, which must not raise: a placeholder when that refuses."""
+    try:
+        return format_scalar(a)
+    except ValueError:
+        return f"<more than {MAX_LITERAL_DIGITS} digits>"
 
 
 # --- pluggable semiring instances -------------------------------------------

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .report import CheckReport
-from .scalars import (BOTTOM, TOP, ExtendedScalar, big_inf, big_sup, finite,
-                      s_add, s_div_dual, s_mul)
+from .scalars import (BOTTOM, TOP, ExtendedScalar, _scalar_text, big_inf, big_sup,
+                      finite, s_add, s_div_dual, s_mul)
 
 
 class DimensionMismatchError(ValueError):
@@ -39,8 +39,7 @@ class FinVector:
         return all(c.is_top() for c in self.coords)
 
     def __repr__(self) -> str:
-        from .scalars import format_scalar
-        return "FinVector(" + " ".join(format_scalar(c) for c in self.coords) + ")"
+        return "FinVector(" + " ".join(_scalar_text(c) for c in self.coords) + ")"
 
 
 def vector(values: Iterable, labels: Optional[Sequence[str]] = None) -> FinVector:

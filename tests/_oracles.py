@@ -79,6 +79,24 @@ def cuts_oracle(s):
     return sorted(cuts, key=lambda c: (len(c), sorted(c)))
 
 
+def join_oracle(s, subset):
+    """The upper bound of a subset below every other upper bound, or None."""
+    ub = _upper_bounds(s, subset)
+    return next((u for u in sorted(ub) if all(s.leq(u, v) for v in ub)), None)
+
+
+def order_queries_oracle(s):
+    """Every order query of FiniteIS, answered by scanning leq, keyed by query name."""
+    n = len(s.elements)
+    return {"upper_bounds": [_upper_bounds(s, x) for x in _subsets(n)],
+            "join_index": [join_oracle(s, x) for x in _subsets(n)],
+            "down_set": [_lower_bounds(s, {j}) for j in range(n)],
+            "bottom_index": join_oracle(s, set()),
+            "top_index": join_oracle(s, set(range(n))) if n else None,
+            "has_all_joins": all(join_oracle(s, {i, j}) is not None
+                                 for i in range(n) for j in range(n))}
+
+
 def complete_lattice_oracle(s):
     """Does every subset, the empty one included, have a join and a meet?"""
     for x in _subsets(len(s.elements)):

@@ -146,6 +146,36 @@ def test_separate(files, capsys):
     assert "f(y) = 1" in out
 
 
+def test_separate_refuses_disagreeing_labels(files, capsys):
+    x = files("ab.vec", "# labels: a b\n1 2\n")
+    y = files("ba.vec", "# labels: b a\n1 2\n")
+    code, out, err = run_cli(["separate", "--x", x, "--y", y], capsys)
+    assert (code, out) == (2, "")
+    assert "coordinate labels disagree" in err
+
+
+def test_extend_counts_zero_generators(files, capsys):
+    gens = files("g.vec", "0 1\n-inf -inf\n")
+    code, out, _ = run_cli(["extend", "--generators", gens, "--values", "0", "-inf",
+                            "--dim", "2"], capsys)
+    assert (code, out) == (0, "# functional-representer dim=2\n0 1\n")
+    code, out, err = run_cli(["extend", "--generators", gens, "--values", "0", "5",
+                              "--dim", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert "generator 1 evaluates to -inf, prescribed 5" in err
+    code, out, err = run_cli(["extend", "--generators", gens, "--values", "5",
+                              "--dim", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "2 generators but 1 values" in err
+
+
+def test_completion_refuses_reserved_labels(files, capsys):
+    poset = files("top.pos", "elements: _top a\n")
+    code, out, err = run_cli(["dm-complete", "--poset", poset], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate element label '_top'\n"
+
+
 def test_sup_functionals(files, capsys):
     f1 = files("f1.fn", "# functional-representer dim=2\n0 5\n")
     f2 = files("f2.fn", "# functional-representer dim=2\n5 0\n")

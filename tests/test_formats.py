@@ -4,6 +4,7 @@ import pytest
 
 import maxplus as mp
 from maxplus import formats
+from maxplus.selftest import all_small_posets
 
 
 def test_parse_vector_line():
@@ -57,6 +58,9 @@ def test_poset_round_trip():
     assert mp.standard_order(s, "a", "c")
     assert not mp.standard_order(s, "a", "b")
     assert formats.parse_poset(formats.format_poset(s)).relation == s.relation
+    for s in all_small_posets(4):
+        back = formats.parse_poset(formats.format_poset(s))
+        assert (back.elements, back.relation) == (s.elements, s.relation)
 
 
 def test_poset_prints_cover_relations_only():

@@ -3,9 +3,11 @@ import random
 import pytest
 
 import maxplus as mp
+from maxplus import formats
 from maxplus.order import FiniteIS
 from maxplus.selftest import all_small_posets
-from _oracles import closure_oracle, complete_lattice_oracle, cuts_oracle
+from _oracles import (_subsets, closure_oracle, complete_lattice_oracle, cuts_oracle,
+                      order_queries_oracle)
 
 
 def chain(*labels):
@@ -102,6 +104,14 @@ def test_completion_is_idempotent():
         assert len(twice.completed.elements) == len(once.elements)
         assert set(twice.embedding.keys()) == set(once.elements)
         assert mp.order_isomorphic(once, twice.completed) or len(once.elements) > 8
+        # every cut of a lattice is principal, so nothing is synthesized twice
+        assert twice.completed.elements == once.elements
+
+
+def test_completion_refuses_a_label_it_would_synthesize():
+    for labels, dup in ((["_bot", "a"], "_bot"), (["_top", "a"], "_top")):
+        with pytest.raises(mp.PosetError, match=f"duplicate element label '{dup}'"):
+            mp.dm_completion(FiniteIS.antichain(labels))
 
 
 def test_completion_bottom_below_everything():
@@ -178,3 +188,49 @@ def test_from_pairs_matches_closure_oracle_on_random_dags():
         labels = [f"e{i}" for i in range(n)]
         s = FiniteIS.from_pairs(labels, [(labels[i], labels[j]) for i, j in edges])
         assert s.relation == closure_oracle(n, edges)
+
+
+def queries(s):
+    """The answers of FiniteIS's order queries, keyed like order_queries_oracle."""
+    n = len(s.elements)
+    return {"upper_bounds": [s.upper_bounds(x) for x in _subsets(n)],
+            "join_index": [s.join_index(x) for x in _subsets(n)],
+            "down_set": [s.down_set(j) for j in range(n)],
+            "bottom_index": s.bottom_index(),
+            "top_index": s.top_index(),
+            "has_all_joins": s.has_all_joins()}
+
+
+def test_order_queries_match_leq_scans():
+    for s in all_small_posets(5):
+        for t in (s, mp.dm_completion(s).completed):
+            assert queries(t) == order_queries_oracle(t), t
+
+
+def chain_product(m):
+    """The product of two m-chains, (i, j) <= (k, l) iff i <= k and j <= l."""
+    label = [[f"x{i}y{j}" for j in range(m)] for i in range(m)]
+    covers = ([(label[i][j], label[i + 1][j]) for i in range(m - 1) for j in range(m)]
+              + [(label[i][j], label[i][j + 1]) for i in range(m) for j in range(m - 1)])
+    return FiniteIS.from_pairs([lab for row in label for lab in row], covers)
+
+
+def test_hundred_element_chain_product():
+    s = chain_product(10)
+    assert len(s.elements) == 100 and s.is_complete_lattice()
+    assert s.bottom_index() == s.index("x0y0") and s.top_index() == s.index("x9y9")
+    rng = random.Random(11)
+    for _ in range(200):
+        (i, j), (k, l) = [(rng.randrange(10), rng.randrange(10)) for _ in range(2)]
+        join = s.join_index({s.index(f"x{i}y{j}"), s.index(f"x{k}y{l}")})
+        assert s.elements[join] == f"x{max(i, k)}y{max(j, l)}"
+    text = formats.format_poset(s)
+    assert len(text.splitlines()) == 1 + 2 * 10 * 9   # the header and the covers
+    back = formats.parse_poset(text)
+    assert (back.elements, back.relation) == (s.elements, s.relation)
+
+
+def test_hundred_element_antichain_has_no_bottom_or_joins():
+    s = FiniteIS.antichain([f"e{i}" for i in range(100)])
+    assert s.bottom_index() is None and s.top_index() is None
+    assert not s.has_all_joins() and not s.is_complete_lattice()

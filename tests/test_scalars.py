@@ -214,3 +214,13 @@ def test_integral_values_are_stored_as_int():
     # Mixed int and Fraction storage compares and adds exactly.
     assert mp.s_mul(mp.finite(Fraction(1, 2)), mp.finite(Fraction(1, 2))) == mp.finite(1)
     assert mp.finite(1) < mp.finite(Fraction(3, 2)) <= mp.finite(Fraction(3, 2))
+
+
+def test_repr_never_raises():
+    huge = mp.finite(10 ** 4400)
+    assert repr(huge) == "ExtendedScalar('<more than 4300 digits>')"
+    assert repr(mp.FinVector((mp.finite(1), huge))) == "FinVector(1 <more than 4300 digits>)"
+    assert repr(mp.finite(-7)) == "ExtendedScalar('-7')"
+    assert repr(mp.vector([mp.BOTTOM, "1/2", mp.TOP])) == "FinVector(-inf 1/2 +inf)"
+    with pytest.raises(ValueError, match="cannot be printed"):
+        mp.format_scalar(huge)
