@@ -142,16 +142,12 @@ def compare_selftest(old: str, new: str) -> bool:
 
 # --- CLI ----------------------------------------------------------------------
 
-# Faults and commands whose output is meant to change.  A completion refuses an
-# input label it would synthesize, so the second completion of the antichain of
-# a completed lattice (which carries _bot and _top) now raises; separate follows
-# the one label rule; extend counts all -inf generator lines, and a mixed-length
-# generator file is refused by the dimension check of the supremum.
-INTENDED = {
-    "completion-ignores-order", "dm-complete-reserved-label", "b-complete-reserved-label",
-    "separate-labels", "extend-zero-generator", "extend-zero-generator-nonzero-value",
-    "extend-zero-generator-too-few-values", "extend-mixed-dims",
-}
+# Faults and commands whose output is meant to change.  A subset law past
+# report.MAX_SUBSET_ITEMS items is refused with exit 2 instead of enumerated.
+# check_a_linear folds its subsets with the v_add that functionals imports, which
+# closure-adds-nothing does not replace, so that fault's a-linearity suite now
+# passes every instance; it draws more instances before extension raises.
+INTENDED = {"check-axioms-past-bound", "check-alinear-past-bound", "closure-adds-nothing"}
 
 _FAULT_MAIN = ("import sys, maxplus.order as od; od.FiniteIS.is_complete_lattice = "
                "lambda self: False; from maxplus.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -161,6 +157,7 @@ def _write_inputs(d: str, new_src: str) -> list:
     """Write the input files into d; return (name, argv, injected) triples."""
     sys.path.insert(0, os.path.abspath(new_src))
     from maxplus import formats, order, selftest
+    from maxplus.report import MAX_SUBSET_ITEMS
 
     def w(name, text):
         with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
@@ -230,6 +227,11 @@ def _write_inputs(d: str, new_src: str) -> list:
     for seed, samples in ((0, None), (7, "6"), (3, "1")):
         argv = ["check-alinear", "--functional", f, "--seed", str(seed)]
         add(f"check-alinear-{seed}", *argv, *(["--samples", samples] if samples else []))
+    for name, n in (("at", MAX_SUBSET_ITEMS), ("past", MAX_SUBSET_ITEMS + 1)):
+        add(f"check-axioms-{name}-bound", "check-axioms", "--semiring", "maxplus",
+            "--sample", "-inf", "+inf", *(str(v) for v in range(n - 2)))
+        add(f"check-alinear-{name}-bound", "check-alinear", "--functional", f,
+            "--samples", str(n))
     add("check-alinear-samples-zero", "check-alinear", "--functional", f, "--samples", "0")
     add("check-alinear-samples-negative", "check-alinear", "--functional", f,
         "--samples", "-1")

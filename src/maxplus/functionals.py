@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
-from .report import CheckReport
-from .scalars import ONE, ExtendedScalar, big_sup, format_scalar, s_div, s_mul
+from .report import CheckReport, fold_failures
+from .scalars import BOTTOM, ONE, ExtendedScalar, big_sup, format_scalar, s_add, s_div, s_mul
 from .semimodules import (DimensionMismatchError, FinVector, _join_labels,
-                          unit_vector, v_inf, v_scale, v_sup, zero_vector)
+                          unit_vector, v_add, v_inf, v_scale, v_sup, zero_vector)
 
 
 class ZeroFunctionalError(ValueError):
@@ -141,27 +141,23 @@ def check_a_linear(map_fn: VectorMap,
                    scalars: Sequence[ExtendedScalar] = ()) -> CheckReport:
     """Check sup-preservation over every subset of the test vectors, plus homogeneity.
 
-    Scalar homogeneity k * p(x) = p(k * x) is checked for the supplied scalars
-    except +inf (the evaluation functionals are not +inf-homogeneous, matching
-    the scalar-side caveat in the degenerate conventions).
+    Subsets are folded by report.fold_failures, so map_fn runs once per test
+    vector and once per subset.  Scalar homogeneity k * p(x) = p(k * x) is
+    checked for the supplied scalars except +inf (the evaluation functionals
+    are not +inf-homogeneous, matching the scalar-side caveat in the
+    degenerate conventions).
     """
     test_vectors = list(test_vectors)
     if not test_vectors:
         raise ValueError("need at least one test vector")
     dim = test_vectors[0].dim
     report = CheckReport()
-    # The image of the zero vector fixes the output algebra, and its dimension.
+    # The image of the zero vector fixes the output algebra; -inf times it is the zero.
     zero_out = map_fn(zero_vector(dim))
-    if isinstance(zero_out, ExtendedScalar):
-        out_sup, out_scale = big_sup, s_mul
-    else:
-        out_sup, out_scale = (lambda outputs: v_sup(outputs, dim=zero_out.dim)), v_scale
-
-    subsets = (subset for r in range(len(test_vectors) + 1)
-               for subset in itertools.combinations(test_vectors, r))
-    report.record_first("sup-preservation", (
-        subset for subset in subsets
-        if map_fn(v_sup(list(subset), dim=dim)) != out_sup([map_fn(v) for v in subset])))
+    out_add, out_scale = ((s_add, s_mul) if isinstance(zero_out, ExtendedScalar)
+                          else (v_add, v_scale))
+    report.record_first("sup-preservation", fold_failures(
+        test_vectors, map_fn, v_add, zero_vector(dim), out_add, out_scale(BOTTOM, zero_out)))
     report.record_first("homogeneity", (
         (k, v) for k in scalars if not k.is_top() for v in test_vectors
         if map_fn(v_scale(k, v)) != out_scale(k, map_fn(v))))

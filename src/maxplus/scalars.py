@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .report import CheckReport
+from .report import CheckReport, fold_failures
 
 _BOT = -1
 _FIN = 0
@@ -237,13 +237,6 @@ class SemiringDescriptor:
     def is_semifield(self) -> bool:
         return self.inverse is not None
 
-    def fold_add(self, xs: Iterable) -> object:
-        """Finite supremum under add, starting from the zero (sup of the empty set)."""
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
-
 
 def boolean_semifield() -> SemiringDescriptor:
     """The two-element semifield {0, 1} with or/and; b-complete and a-complete."""
@@ -288,7 +281,8 @@ def check_semiring_axioms(d: SemiringDescriptor,
                           sample: Optional[Sequence] = None) -> CheckReport:
     """Check every semiring axiom on a sample (the full carrier when finite).
 
-    Failures are recorded with a witness tuple, not raised.
+    Failures are recorded with a witness tuple, not raised.  The generalized
+    laws fold subsets with report.fold_failures, so 2**n folds per k.
     """
     if sample is None:
         if d.elements is None:
@@ -318,14 +312,10 @@ def check_semiring_axioms(d: SemiringDescriptor,
                                  if d.mul(d.add(a, b), k) != d.add(d.mul(a, k), d.mul(b, k))))
 
     # Generalized distributivity over every subset of the sample, empty set included.
-    subsets = [list(c) for r in range(len(sample) + 1)
-               for c in itertools.combinations(sample, r)]
-    check("generalized-distributive-left",
-          ((k, xs) for k in sample for xs in subsets
-           if d.mul(k, d.fold_add(xs)) != d.fold_add(d.mul(k, x) for x in xs)))
-    check("generalized-distributive-right",
-          ((k, xs) for k in sample for xs in subsets
-           if d.mul(d.fold_add(xs), k) != d.fold_add(d.mul(x, k) for x in xs)))
+    check("generalized-distributive-left", ((k, list(xs)) for k in sample for xs in
+          fold_failures(sample, lambda x: d.mul(k, x), d.add, d.zero, d.add, d.zero)))
+    check("generalized-distributive-right", ((k, list(xs)) for k in sample for xs in
+          fold_failures(sample, lambda x: d.mul(x, k), d.add, d.zero, d.add, d.zero)))
 
     if d.inverse is not None:
         check("inverse", ((a,) for a in sample

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple
 
 from .functionals import ZeroFunctionalError, star_eval
 from .report import CheckReport
-from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, big_sup,
-                      NotInvertibleError, s_inv, s_mul)
+from .scalars import (BOTTOM, ONE, ExtendedScalar, big_sup, NotInvertibleError, s_inv,
+                      s_mul)
 from .semimodules import FinVector, _join_labels
 
 

@@ -3,10 +3,11 @@
 These deliberately avoid the closed forms under test: evaluation is checked by
 scanning a coefficient grid, membership by enumerating integer coefficient
 combinations, scalar products by exhaustive max over the point set, and the
-order and graph-closure checks by scanning every subset.
+order and graph-closure checks and the subset-law folds by scanning every subset.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 import maxplus as mp
@@ -132,3 +133,10 @@ def graph_violation_oracle(pairs):
             if expected != sup_out.coords:
                 return subset, "supremum of outputs disagrees with the sampled output"
     return None
+
+
+def fold_failures_oracle(items, h, op, unit, op_h, unit_h):
+    """Every subset S, by size then position, with h(fold S) != fold of h over S,
+    each fold recomputed from the unit over the whole subset."""
+    return [s for r in range(len(items) + 1) for s in combinations(items, r)
+            if h(reduce(op, s, unit)) != reduce(op_h, [h(x) for x in s], unit_h)]

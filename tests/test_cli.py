@@ -5,6 +5,7 @@ import pytest
 
 import maxplus as mp
 from maxplus.cli import main
+from maxplus.report import MAX_SUBSET_ITEMS
 
 
 def run_cli(args, capsys):
@@ -220,6 +221,17 @@ def test_check_axioms(capsys):
     assert all("PASS" in line for line in out.strip().splitlines())
     code, out, _ = run_cli(["check-axioms", "--semiring", "maxplus"], capsys)
     assert code == 0
+
+
+def test_check_axioms_subset_bound(capsys):
+    sample = ["-inf", "+inf"] + [str(v) for v in range(MAX_SUBSET_ITEMS - 2)]
+    code, out, _ = run_cli(["check-axioms", "--semiring", "maxplus", "--sample", *sample],
+                           capsys)
+    assert code == 0 and out.count("PASS") == 11
+    code, out, err = run_cli(["check-axioms", "--semiring", "maxplus",
+                              "--sample", *sample, "99"], capsys)
+    assert (code, out) == (2, "")
+    assert f"on at most {MAX_SUBSET_ITEMS} items" in err
 
 
 def test_check_alinear(files, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.functionals import LinearMapSample
+from maxplus.report import MAX_SUBSET_ITEMS
 from _oracles import graph_violation_oracle, star_oracle
 
 rng = random.Random(2024)
@@ -261,6 +262,27 @@ def test_negation_map_fails_with_witness():
     # The empty subset already fails (negation sends the zero to +inf), and its
     # witness is the falsy () rather than a missing one.
     assert entry.witness == ()
+
+
+def test_labeling_map_is_a_linear():
+    # the images' empty supremum carries the labels of the image of zero
+    relabel = lambda v: mp.FinVector(v.coords, ("a", "b"))
+    report = mp.check_a_linear(relabel, [mp.vector([0, 1]), mp.vector([2, -1])], [mp.ONE])
+    assert report.lines() == ["sup-preservation: PASS", "homogeneity: PASS"]
+
+
+def test_map_changing_output_dimension_is_refused():
+    grow = lambda v: mp.zero_vector(1) if v.is_zero() else v
+    with pytest.raises(mp.DimensionMismatchError):
+        mp.check_a_linear(grow, [mp.vector([0, 1])])
+
+
+def test_a_linearity_subset_bound():
+    tests = [mp.vector([i]) for i in range(MAX_SUBSET_ITEMS)]
+    f = mp.FunctionalRep(mp.vector([0]))
+    assert mp.check_a_linear(f, tests).all_passed
+    with pytest.raises(ValueError, match=f"at most {MAX_SUBSET_ITEMS} items"):
+        mp.check_a_linear(f, tests + [mp.vector([-1])])
 
 
 def test_graph_sup_closed_on_functional_sample():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
+from maxplus.report import MAX_SUBSET_ITEMS
 from _oracles import greatest_scaling, span_member_oracle
 
 finites = st.integers(min_value=-10, max_value=10).map(mp.finite)
@@ -153,6 +154,20 @@ def test_b_space_axioms_skip_all_top_vector():
     samples.append(mp.top_vector(2))
     scalars_sample = [mp.BOTTOM, mp.finite(0), mp.finite(1), mp.TOP]
     assert mp.check_b_space_axioms(samples, scalars_sample).all_passed
+
+
+def test_b_space_axioms_pass_on_labeled_vectors():
+    # the empty scalar subset's supremum scales a labeled vector to a labeled zero
+    samples = [mp.vector([0, 1], labels=["a", "b"]), mp.top_vector(2, ["a", "b"])]
+    report = mp.check_b_space_axioms(samples, [mp.finite(0), mp.TOP])
+    assert report.lines() == ["meet-law: PASS", "generalized-distributive-scalars: PASS",
+                              "generalized-distributive-vectors: PASS"]
+
+
+def test_b_space_axioms_refuse_more_samples_than_the_subset_bound():
+    samples = [mp.vector([i]) for i in range(MAX_SUBSET_ITEMS + 1)]
+    with pytest.raises(ValueError, match=f"at most {MAX_SUBSET_ITEMS} items"):
+        mp.check_b_space_axioms(samples, [mp.finite(0)])
 
 
 def test_labels_flow_through_operations():
