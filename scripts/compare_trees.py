@@ -144,9 +144,10 @@ def compare_selftest(old: str, new: str) -> bool:
 
 # Faults and commands whose output is meant to change.  A subset law past
 # report.MAX_SUBSET_ITEMS items is refused with exit 2 instead of enumerated.
-# check_a_linear folds its subsets with the v_add that functionals imports, which
-# closure-adds-nothing does not replace, so that fault's a-linearity suite now
-# passes every instance; it draws more instances before extension raises.
+# Under closure-adds-nothing the a-linearity suite still fails, but earlier: each
+# subset is folded from the zero vector, which the patched v_add keeps, so a
+# singleton already fails where the old fold from the first member failed on a
+# pair (seed 1: instance 0, not 1), and the suites after it draw differently.
 INTENDED = {"check-axioms-past-bound", "check-alinear-past-bound", "closure-adds-nothing"}
 
 _FAULT_MAIN = ("import sys, maxplus.order as od; od.FiniteIS.is_complete_lattice = "

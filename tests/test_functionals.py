@@ -271,6 +271,15 @@ def test_labeling_map_is_a_linear():
     assert report.lines() == ["sup-preservation: PASS", "homogeneity: PASS"]
 
 
+def test_sup_preservation_joins_through_semimodules_v_add(monkeypatch):
+    # a supremum that keeps its left operand must show up as a sup-preservation failure
+    f = mp.FunctionalRep(mp.vector([0, 0]))
+    assert mp.check_a_linear(f, [mp.vector([0, 1]), mp.vector([2, -1])]).all_passed
+    monkeypatch.setattr(mp.semimodules, "v_add", lambda a, b: a)
+    report = mp.check_a_linear(f, [mp.vector([0, 1]), mp.vector([2, -1])])
+    assert not report.entry("sup-preservation").passed
+
+
 def test_map_changing_output_dimension_is_refused():
     grow = lambda v: mp.zero_vector(1) if v.is_zero() else v
     with pytest.raises(mp.DimensionMismatchError):

@@ -164,6 +164,16 @@ def test_b_space_axioms_pass_on_labeled_vectors():
                               "generalized-distributive-vectors: PASS"]
 
 
+def test_distributive_scalars_checks_the_empty_subset(monkeypatch):
+    # (sup of no scalars) * x must be the zero; a scaling that lets -inf keep x fails it
+    scale = mp.semimodules.v_scale
+    monkeypatch.setattr(mp.semimodules, "v_scale",
+                        lambda k, x: x if k.is_bottom() else scale(k, x))
+    x = mp.vector([0, 1], labels=["a", "b"])
+    report = mp.check_b_space_axioms([x], [mp.finite(0)])
+    assert report.entry("generalized-distributive-scalars").witness == ([], x)
+
+
 def test_b_space_axioms_refuse_more_samples_than_the_subset_bound():
     samples = [mp.vector([i]) for i in range(MAX_SUBSET_ITEMS + 1)]
     with pytest.raises(ValueError, match=f"at most {MAX_SUBSET_ITEMS} items"):
