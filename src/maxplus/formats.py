@@ -137,6 +137,9 @@ def parse_poset(text: str) -> FiniteIS:
     if m is None:
         raise ParseError("poset files start with an 'elements:' line", lineno)
     elements = tuple(m.group(1).split())
+    comment = next((e for e in elements if e.startswith("#")), None)
+    if comment is not None:  # its relation lines would print as comments
+        raise ParseError(f"element label {comment!r} starts with '#'", lineno)
     pairs = []
     for lineno, line in lines[1:]:
         pm = re.match(r"(\S+)\s*<\s*(\S+)$", line)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple, Union
 
 from .report import CheckReport, fold_failures
-from .scalars import BOTTOM, ONE, ExtendedScalar, big_sup, format_scalar, s_add, s_div, s_mul
+from .scalars import BOTTOM, ONE, ExtendedScalar, format_scalar, s_add, s_div, s_mul, sup_div
 from .semimodules import (DimensionMismatchError, FinVector, _join_labels,
                           unit_vector, v_inf, v_scale, v_sup, zero_vector)
 
@@ -34,13 +34,13 @@ class InconsistentValuesError(ValueError):
 def star_eval(x: FinVector, y: FinVector) -> ExtendedScalar:
     """Evaluate the residuation functional of x at y: the least k with y <= k*x.
 
-    Closed form: the sup over coordinates of the residuals s_div(y_i, x_i).
-    A -inf target imposes no constraint, so it is skipped before any
-    arithmetic; evaluation on a unit vector then costs one residual.
+    Closed form: the sup over coordinates of the residuals s_div(y_i, x_i),
+    read in one pass by scalars.sup_div.  A -inf target imposes no
+    constraint, so it is skipped before any arithmetic; evaluation on a unit
+    vector then costs one residual.
     """
     _join_labels(x, y)
-    return big_sup(s_div(yi, xi) for xi, yi in zip(x.coords, y.coords)
-                   if not yi.is_bottom())
+    return sup_div(y.coords, x.coords)
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,15 @@ Oracle = Callable[[FinVector], ExtendedScalar]
 def recover_representer(f: Union[Oracle, FunctionalRep], probe_dim: int) -> FinVector:
     """Recover the representer of a nonzero a-linear functional from evaluations.
 
-    Probing on the unit vectors inverts the evaluation formula coordinatewise;
-    the recovery is then verified against the oracle on those probes.
+    Probing on the unit vectors inverts the evaluation formula coordinatewise,
+    one oracle call per unit vector.  The recovery needs no re-check against
+    those probes: star_eval(x, e_i) reads coordinate i alone, so it is
+    s_div(ONE, s_div(ONE, v_i)), which is v_i for -inf, finite and +inf alike.
     """
     values = [f(unit_vector(i, probe_dim)) for i in range(probe_dim)]
     if all(v.is_bottom() for v in values):
         raise ZeroFunctionalError("zero functional has no representer")
-    x = FinVector(tuple(s_div(ONE, v) for v in values))
-    for i, v in enumerate(values):
-        if star_eval(x, unit_vector(i, probe_dim)) != v:
-            raise ZeroFunctionalError(
-                f"oracle is not a-linear: probe {i} disagrees with its recovery")
-    return x
+    return FinVector(tuple(s_div(ONE, v) for v in values))
 
 
 def extend_functional(w, values: Sequence[ExtendedScalar],

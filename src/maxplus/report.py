@@ -61,6 +61,13 @@ class CheckReport:
         return [e.line() for e in self.entries]
 
 
+def refuse_past_subset_bound(items: Sequence) -> None:
+    """Raise ValueError naming the bound if items has more than MAX_SUBSET_ITEMS members."""
+    if len(items) > MAX_SUBSET_ITEMS:
+        raise ValueError(f"{len(items)} items give 2**{len(items)} subsets; subset laws "
+                         f"are checked on at most {MAX_SUBSET_ITEMS} items")
+
+
 def fold_failures(items: Sequence, h: Callable, op: Callable, unit: object,
                   op_h: Callable, unit_h: object) -> Iterator[Tuple]:
     """Yield each subset S of items, as a tuple in itertools.combinations order from
@@ -68,9 +75,7 @@ def fold_failures(items: Sequence, h: Callable, op: Callable, unit: object,
     right from unit under op and from unit_h under op_h, each from its prefix's
     fold, one size level kept at a time: h runs once per item and once per subset.
     """
-    if len(items) > MAX_SUBSET_ITEMS:
-        raise ValueError(f"{len(items)} items give 2**{len(items)} subsets; subset laws "
-                         f"are checked on at most {MAX_SUBSET_ITEMS} items")
+    refuse_past_subset_bound(items)
     if h(unit) != unit_h:
         yield ()
     images = [h(x) for x in items]

@@ -75,7 +75,7 @@ def finite(value) -> ExtendedScalar:
     """
     if type(value) is int:
         return ExtendedScalar(_FIN, value)
-    q = Fraction(value)
+    q = value if type(value) is Fraction else Fraction(value)
     return ExtendedScalar(_FIN, q.numerator if q.denominator == 1 else q)
 
 
@@ -99,7 +99,8 @@ def s_mul(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
         return BOTTOM
     if a.kind == _TOP or b.kind == _TOP:
         return TOP
-    return ExtendedScalar(_FIN, a.q + b.q)
+    q = a.q + b.q
+    return ExtendedScalar(_FIN, q) if type(q) is int else finite(q)
 
 
 def s_inv(a: ExtendedScalar) -> ExtendedScalar:
@@ -124,7 +125,8 @@ def s_div(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
         return BOTTOM
     if a.kind == _TOP:
         return TOP
-    return ExtendedScalar(_FIN, a.q - b.q)
+    q = a.q - b.q
+    return ExtendedScalar(_FIN, q) if type(q) is int else finite(q)
 
 
 def s_div_dual(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
@@ -136,6 +138,48 @@ def s_div_dual(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
     if a.kind == b.kind != _FIN:
         return TOP
     return s_div(a, b)
+
+
+def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> ExtendedScalar:
+    """big_sup(s_div(y, x) for y, x in zip(ys, xs) if not y.is_bottom()), in one pass.
+
+    A finite pair adds its raw difference to a running max; a pair holding an
+    infinity goes through s_div, and +inf stops the read as in big_sup.
+    """
+    best = None
+    for y, x in zip(ys, xs):
+        if y.kind == _FIN and x.kind == _FIN:
+            d = y.q - x.q
+        elif y.kind == _BOT:
+            continue
+        else:
+            r = s_div(y, x)
+            if r.kind == _TOP:
+                return r
+            continue  # the other residual of an infinite pair is -inf, the empty sup
+        if best is None or d > best:
+            best = d
+    return BOTTOM if best is None else finite(best)
+
+
+def inf_div_dual(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> ExtendedScalar:
+    """big_inf(s_div_dual(y, x) for y, x in zip(ys, xs)), in one pass.
+
+    A finite pair adds its raw difference to a running min; a pair holding an
+    infinity goes through s_div_dual, and -inf stops the read as in big_inf.
+    """
+    best = None
+    for y, x in zip(ys, xs):
+        if y.kind == _FIN and x.kind == _FIN:
+            d = y.q - x.q
+        else:
+            r = s_div_dual(y, x)
+            if r.kind == _BOT:
+                return r
+            continue  # the other residual of an infinite pair is +inf, the empty inf
+        if best is None or d < best:
+            best = d
+    return TOP if best is None else finite(best)
 
 
 def big_sup(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:

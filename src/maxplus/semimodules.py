@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .report import CheckReport, fold_failures
-from .scalars import (BOTTOM, TOP, ExtendedScalar, _scalar_text, big_inf, finite,
-                      s_add, s_div_dual, s_mul)
+from .report import CheckReport, fold_failures, refuse_past_subset_bound
+from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, _scalar_text, big_inf, finite,
+                      inf_div_dual, s_add, s_mul)
 
 
 class DimensionMismatchError(ValueError):
@@ -56,8 +56,9 @@ def top_vector(dim: int, labels: Optional[Sequence[str]] = None) -> FinVector:
 
 
 def unit_vector(i: int, dim: int) -> FinVector:
-    from .scalars import ONE
-    return FinVector(tuple(ONE if j == i else BOTTOM for j in range(dim)))
+    if not 0 <= i < dim:
+        raise IndexError(f"unit vector {i} of dimension {dim}")
+    return FinVector((BOTTOM,) * i + (ONE,) + (BOTTOM,) * (dim - i - 1))
 
 
 def _join_labels(x: FinVector, y: FinVector) -> Optional[Tuple[str, ...]]:
@@ -131,14 +132,14 @@ def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     """Residuated projection of y onto the span of w.
 
     For each generator the greatest admissible coefficient is the meet of the
-    coordinatewise residuals; the projection is the supremum of the scaled
-    generators and is always below y.  ``member`` reports whether y itself is
-    in the span.
+    coordinatewise residuals, read in one pass by scalars.inf_div_dual; the
+    projection is the supremum of the scaled generators and is always below y.
+    ``member`` reports whether y itself is in the span.
     """
     parts = []
     for g in w.generators:
         _join_labels(g, y)
-        k = big_inf(s_div_dual(a, b) for a, b in zip(y.coords, g.coords))
+        k = inf_div_dual(y.coords, g.coords)
         parts.append(v_scale(k, g))
     projection = FinVector(v_sup(parts, dim=y.dim).coords, y.labels)
     return projection, projection.coords == y.coords
@@ -154,13 +155,14 @@ def check_b_space_axioms(samples: Sequence[FinVector],
     report.fold_failures.  The two scalar-subset laws loop over the vectors
     outside and the subsets inside; as they hold on every valid input, that
     order shows only in the witness of a broken operation.  More than
-    report.MAX_SUBSET_ITEMS samples are refused only when the vectors law
-    starts, after the two scalar-subset laws have run.
+    report.MAX_SUBSET_ITEMS scalars or samples are refused before any law runs.
     """
     samples = list(samples)
     scalars = list(scalars)
     if not samples:
         raise ValueError("need at least one sample vector")
+    for items in (scalars, samples):
+        refuse_past_subset_bound(items)
     zero = zero_vector(samples[0].dim)
     report = CheckReport()
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the closed forms under test: evaluation is checked by
-scanning a coefficient grid, membership by enumerating integer coefficient
+scanning a coefficient grid and the one-pass residual loops by composing the
+scalar residuals, membership by enumerating integer coefficient
 combinations, scalar products by exhaustive max over the point set, and the
 order and graph-closure checks and the subset-law folds by scanning every subset.
 """
@@ -25,6 +26,16 @@ def star_oracle(x, y, lo=-20, hi=20):
     """
     valid = [k for k in grid_scalars(lo, hi) if mp.v_leq(y, mp.v_scale(k, x))]
     return mp.big_inf(valid)
+
+
+def sup_div_oracle(ys, xs):
+    """star_eval's residual composed generically: big_sup of s_div over the nonzero targets."""
+    return mp.big_sup(mp.s_div(y, x) for y, x in zip(ys, xs) if not y.is_bottom())
+
+
+def inf_div_dual_oracle(ys, gs):
+    """The projection coefficient composed generically: big_inf of s_div_dual."""
+    return mp.big_inf(mp.s_div_dual(y, g) for y, g in zip(ys, gs))
 
 
 def greatest_scaling(w, y, lo=-10, hi=10):

@@ -1,9 +1,17 @@
+import contextlib
+import io
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxplus as mp
+from maxplus import formats
 from maxplus.cli import main
 from maxplus.report import MAX_SUBSET_ITEMS
 
@@ -288,3 +296,121 @@ def test_selftest_deterministic(capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+# --- fuzzing every verb: no input is an internal error -----------------------
+
+SCALAR_TOKENS = ("-inf", "+inf", "0", "3", "-1", "1/2", "-3/4", "2.5", "-.5", "1e2", "6/2",
+                 "-0")
+SOUP_TOKENS = SCALAR_TOKENS + ("#", "<", "a", "_top", "inf", "nan", "1/0", "1e5000", "0x1",
+                               "elements:", "# labels:", "dim=2", "--x", "\u00e9")
+NAMES = ("a", "b", "c", "_top", "_cut1")
+# Counts stay at most 4, so no drawn argument asks for a long enumeration.
+ARG_TOKENS = SCALAR_TOKENS + ("--values", "--dim", "--seed", "--samples", "--sample",
+                              "--semiring", "maxplus", "boolean", "1", "2", "4", "-2", "x")
+
+NONE = st.just([])
+# verb -> its file options with the format each reads, and its other arguments for
+# files of dim coordinates and count lines
+VERBS = {
+    "eval-star": ((("--x", "vec"), ("--y", "vec")), lambda dim, count: NONE),
+    "recover": ((("--functional", "fn"),), lambda dim, count: NONE),
+    "extend": ((("--generators", "vecs"),), lambda dim, count: st.lists(
+        st.sampled_from(SCALAR_TOKENS), min_size=count, max_size=count).map(
+        lambda values: ["--values", *values, "--dim", str(dim)])),
+    "separate": ((("--x", "vec"), ("--y", "vec")), lambda dim, count: NONE),
+    "sup-functionals": ((("--functionals", "fn"), ("", "fn")), lambda dim, count: NONE),
+    "scalar-product": ((("--f1", "fun"), ("--f2", "fun")), lambda dim, count: NONE),
+    "integrate": ((("--phi", "fun"), ("--weight", "fun")), lambda dim, count: NONE),
+    "prop4": ((("--x", "fun"), ("--y", "fun")), lambda dim, count: NONE),
+    "dm-complete": ((("--poset", "pos"),), lambda dim, count: NONE),
+    "b-complete": ((("--poset", "pos"),), lambda dim, count: NONE),
+    "check-axioms": ((), lambda dim, count: st.builds(
+        lambda ring, sample: ["--semiring", ring, "--sample", *sample],
+        st.sampled_from(["maxplus", "boolean"]),
+        st.lists(st.sampled_from(SCALAR_TOKENS), max_size=5))),
+    "check-alinear": ((("--functional", "fn"),), lambda dim, count: st.just(["--samples", "3"])),
+    "check-graph": ((("--inputs", "vecs"), ("--outputs", "vecs")), lambda dim, count: NONE),
+    "selftest": ((), lambda dim, count: st.just(["--dim", "2", "--samples", "2"])),
+}
+
+
+@st.composite
+def near_valid_file(draw, kind, dim, count):
+    """A file of one format over dim coordinates, with one token changed a third of the
+    time; one file in six is token soup instead."""
+    if draw(st.integers(0, 5)) == 0:
+        return "".join(" ".join(draw(st.lists(st.sampled_from(SOUP_TOKENS), max_size=4))) + "\n"
+                       for _ in range(draw(st.integers(0, 3))))
+    def line():
+        return " ".join(draw(st.lists(st.sampled_from(SCALAR_TOKENS), min_size=dim,
+                                      max_size=dim)))
+    labels = "# labels: " + " ".join(NAMES[:dim]) + "\n"
+    if kind in ("vec", "vecs"):
+        head = labels if draw(st.booleans()) else ""
+        text = head + "".join(line() + "\n" for _ in range(count if kind == "vecs" else 1))
+    elif kind == "fun":
+        text = labels + line() + "\n"
+    elif kind == "fn":
+        text = f"# functional-representer dim={dim}\n{line()}\n"
+    else:
+        names = draw(st.lists(st.sampled_from(NAMES), max_size=4, unique=True))
+        covers = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                               max_size=3)) if names else []
+        text = "elements: " + " ".join(names) + "\n" + "".join(
+            f"{u} < {v}\n" for u, v in covers)
+    parts = re.split(r"(\s+)", text)
+    spot = draw(st.integers(0, 3 * len(parts)))
+    if spot < len(parts):  # replace or delete one piece, whitespace included
+        parts[spot] = draw(st.sampled_from(SOUP_TOKENS + ("", "\n")))
+    return "".join(parts)
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_reads_back(verb, out):
+    lines = out.splitlines()
+    if verb in ("eval-star", "scalar-product", "integrate"):
+        assert out == mp.format_scalar(mp.parse_scalar(out.strip())) + "\n"
+    elif verb in ("recover", "extend", "sup-functionals"):
+        assert out == formats.format_functional(formats.parse_functional(out))
+    elif verb == "separate":
+        formats.parse_functional("\n".join(lines[:2]))
+        assert [line[:7] for line in lines[2:]] == ["f(x) = ", "f(y) = "]
+        for line in lines[2:]:
+            mp.parse_scalar(line[7:])
+    elif verb in ("dm-complete", "b-complete"):
+        body = "".join(line + "\n" for line in lines if not line.startswith("# embed "))
+        poset = formats.parse_poset(body)
+        assert formats.format_poset(poset) == body
+        for line in lines[body.count("\n"):]:
+            assert re.fullmatch(r"# embed \S+ -> (\S+)", line).group(1) in poset.elements
+    else:  # check verbs and selftest: exit 0 means every line passed
+        assert lines and all(re.fullmatch(r"[\w-]+: PASS( \(.*\))?", line) for line in lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(VERBS)), st.integers(1, 3), st.integers(1, 3),
+       st.lists(st.sampled_from(ARG_TOKENS), max_size=2), st.data())
+def test_fuzzed_cli_never_fails_internally(verb, dim, count, extra, data):
+    files, rest = VERBS[verb]
+    argv = [verb]
+    with tempfile.TemporaryDirectory() as d:
+        for i, (option, kind) in enumerate(files):
+            path = os.path.join(d, f"in{i}")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data.draw(near_valid_file(kind, dim, count)))
+            argv += [option, path] if option else [path]
+        argv += data.draw(rest(dim, count)) + extra[:data.draw(st.integers(0, 3)) // 2]
+        code, out, err = _main_in_process(argv)
+    assert code in (0, 1, 2), (argv, err)
+    if code == 0:
+        _assert_reads_back(verb, out)

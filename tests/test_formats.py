@@ -77,3 +77,5 @@ def test_poset_parse_errors():
         formats.parse_poset("elements: a b\na b\n")
     with pytest.raises(formats.ParseError):
         formats.parse_poset("elements: a b\na < zz\n")
+    with pytest.raises(formats.ParseError, match="line 1: element label '#a' starts with '#'"):
+        formats.parse_poset("elements: b #a\n")

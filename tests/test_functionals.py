@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import maxplus as mp
 from maxplus.functionals import LinearMapSample
 from maxplus.report import MAX_SUBSET_ITEMS
-from _oracles import graph_violation_oracle, star_oracle
+from _oracles import graph_violation_oracle, star_oracle, sup_div_oracle
 
 rng = random.Random(2024)
 
@@ -62,6 +63,36 @@ def test_star_eval_top_representer_coordinate():
     assert mp.star_eval(x, mp.vector([5, 1])) == mp.finite(1)
 
 
+# Coordinates in [-10, 10] keep the grid scan exact; the representer has no +inf
+# coordinate, whose residual against a finite target is an infimum the grid
+# cannot reach.  -inf is drawn a third of the time in x and in y, +inf another
+# third in y.
+star_ints = st.integers(min_value=-10, max_value=10).map(mp.finite)
+star_x = st.one_of(st.just(mp.BOTTOM), star_ints, star_ints)
+star_y = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), star_ints)
+
+
+@st.composite
+def labeled_pair(draw, x_coords, y_coords):
+    """Two vectors of one dimension; either, both or neither carries the same labels."""
+    dim = draw(st.integers(min_value=0, max_value=5))
+    labels = tuple("abcde"[:dim])
+    x = draw(st.lists(x_coords, min_size=dim, max_size=dim))
+    y = draw(st.lists(y_coords, min_size=dim, max_size=dim))
+    x_labeled, y_labeled = draw(st.booleans()), draw(st.booleans())
+    return (mp.FinVector(tuple(x), labels if x_labeled else None),
+            mp.FinVector(tuple(y), labels if y_labeled else None))
+
+
+@given(labeled_pair(star_x, star_y))
+def test_star_eval_matches_scan_and_composition(pair):
+    x, y = pair
+    value = mp.star_eval(x, y)
+    assert value == star_oracle(x, y)
+    want = sup_div_oracle(y.coords, x.coords)
+    assert value == want and type(value.q) is type(want.q)
+
+
 def test_star_eval_order_reversing_in_representer():
     for _ in range(100):
         dim = rng.randint(1, 4)
@@ -97,6 +128,28 @@ def test_recover_bottom_probe_gives_top_coordinate():
 def test_recover_zero_functional_errors():
     with pytest.raises(mp.ZeroFunctionalError):
         mp.recover_representer(lambda v: mp.BOTTOM, 3)
+
+
+def test_recovery_identity_holds_for_every_kind():
+    # star_eval(x, e_i) reads coordinate i alone, so recovery returns each probed
+    # value exactly when this holds; it is why recovery needs no re-check.
+    for text in ("-inf", "-1/2", "0", "3", str(10 ** 50), "+inf"):
+        v = mp.parse_scalar(text)
+        assert mp.s_div(mp.ONE, mp.s_div(mp.ONE, v)) == v
+
+
+def test_recover_plain_oracles():
+    weights = (mp.finite(2), mp.BOTTOM, mp.TOP, mp.finite(Fraction(-1, 2)))
+    probes = []
+
+    def weighted(v):
+        probes.append(v.coords)
+        return mp.big_sup(mp.s_mul(w, c) for w, c in zip(weights, v.coords))
+
+    assert mp.recover_representer(weighted, 4) == mp.vector([-2, mp.TOP, mp.BOTTOM, "1/2"])
+    assert probes == [mp.unit_vector(i, 4).coords for i in range(4)]
+    assert (mp.recover_representer(lambda v: mp.finite(Fraction(3, 2)), 3)
+            == mp.vector(["-3/2"] * 3))
 
 
 def test_recover_random_round_trips():

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
-from _oracles import greatest_scaling, star_oracle
+from maxplus.scalars import inf_div_dual, sup_div
+from _oracles import greatest_scaling, inf_div_dual_oracle, star_oracle, sup_div_oracle
 
 finites = st.fractions(min_value=-50, max_value=50, max_denominator=12).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -213,6 +214,11 @@ def test_integral_values_are_stored_as_int():
     assert mp.finite(Fraction(1, 2)).q == Fraction(1, 2)
     # Mixed int and Fraction storage compares and adds exactly.
     assert mp.s_mul(mp.finite(Fraction(1, 2)), mp.finite(Fraction(1, 2))) == mp.finite(1)
+    # An integral result of Fraction arithmetic is stored as int too.
+    half, minus_half = mp.finite(Fraction(1, 2)), mp.finite(Fraction(-1, 2))
+    for result in (mp.s_mul(half, half), mp.s_div(half, half), mp.s_div(half, minus_half),
+                   sup_div([half], [minus_half]), inf_div_dual([half, mp.TOP], [half, mp.ONE])):
+        assert type(result.q) is int, result
     assert mp.finite(1) < mp.finite(Fraction(3, 2)) <= mp.finite(Fraction(3, 2))
 
 
@@ -224,3 +230,28 @@ def test_repr_never_raises():
     assert repr(mp.vector([mp.BOTTOM, "1/2", mp.TOP])) == "FinVector(-inf 1/2 +inf)"
     with pytest.raises(ValueError, match="cannot be printed"):
         mp.format_scalar(huge)
+
+
+# One-pass residual loops against their generic compositions.  -inf and +inf
+# are drawn half of the time; finite values are halves and integers, so many
+# pairs of Fractions differ by an integer.
+loop_scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP),
+                         st.fractions(min_value=-6, max_value=6, max_denominator=2).map(mp.finite),
+                         st.integers(min_value=-6, max_value=6).map(mp.finite))
+coordinate_pairs = st.lists(st.tuples(loop_scalars, loop_scalars), max_size=8)
+
+
+def same_scalar(a, b):
+    return a == b and type(a.q) is type(b.q)
+
+
+@given(coordinate_pairs)
+def test_sup_div_matches_its_composition(pairs):
+    ys, xs = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    assert same_scalar(sup_div(ys, xs), sup_div_oracle(ys, xs))
+
+
+@given(coordinate_pairs)
+def test_inf_div_dual_matches_its_composition(pairs):
+    ys, gs = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    assert same_scalar(inf_div_dual(ys, gs), inf_div_dual_oracle(ys, gs))

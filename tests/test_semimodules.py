@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.report import MAX_SUBSET_ITEMS
-from _oracles import greatest_scaling, span_member_oracle
+from _oracles import greatest_scaling, inf_div_dual_oracle, span_member_oracle
 
 finites = st.integers(min_value=-10, max_value=10).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -107,6 +107,26 @@ def test_projection_with_bottom_and_top_generator_coords():
     assert not member
 
 
+# -inf and +inf are drawn half of the time; halves make Fraction coefficients.
+projection_scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites,
+                               st.fractions(-6, 6, max_denominator=2).map(mp.finite))
+
+
+@given(st.lists(st.tuples(projection_scalars, projection_scalars), max_size=6),
+       st.booleans(), st.booleans())
+def test_projection_coefficient_matches_its_composition(pairs, g_labeled, y_labeled):
+    labels = tuple(f"c{i}" for i in range(len(pairs)))
+    g = mp.FinVector(tuple(p[0] for p in pairs), labels if g_labeled else None)
+    y = mp.FinVector(tuple(p[1] for p in pairs), labels if y_labeled else None)
+    projection, member = mp.project_onto_span(y, mp.SpanBasis.of([g]))
+    want = mp.v_scale(inf_div_dual_oracle(y.coords, g.coords), g).coords
+    if g.is_zero():
+        want = mp.zero_vector(y.dim).coords
+    assert projection.coords == want and projection.labels == y.labels
+    assert [type(c.q) for c in projection.coords] == [type(c.q) for c in want]
+    assert member == (want == y.coords)
+
+
 def test_projection_is_a_closure_dual():
     rng = random.Random(7)
     basis = mp.SpanBasis.of([mp.vector([rng.randint(-5, 5) for _ in range(3)])
@@ -174,10 +194,21 @@ def test_distributive_scalars_checks_the_empty_subset(monkeypatch):
     assert report.entry("generalized-distributive-scalars").witness == ([], x)
 
 
-def test_b_space_axioms_refuse_more_samples_than_the_subset_bound():
+def test_b_space_axioms_refuse_more_samples_than_the_subset_bound(monkeypatch):
+    calls = []
+    scale = mp.semimodules.v_scale
+    monkeypatch.setattr(mp.semimodules, "v_scale", lambda k, x: calls.append(k) or scale(k, x))
     samples = [mp.vector([i]) for i in range(MAX_SUBSET_ITEMS + 1)]
-    with pytest.raises(ValueError, match=f"at most {MAX_SUBSET_ITEMS} items"):
-        mp.check_b_space_axioms(samples, [mp.finite(0)])
+    assert mp.check_b_space_axioms(samples[:-1], [mp.finite(0)]).all_passed
+    assert calls
+    # Past the bound, in samples or in scalars, nothing is scaled before the refusal.
+    for vectors, ks in ((samples, [mp.finite(0)]),
+                        (samples[:1], [mp.finite(k) for k in range(MAX_SUBSET_ITEMS + 1)])):
+        calls.clear()
+        with pytest.raises(ValueError, match=f"15 items give 2\\*\\*15 subsets; subset laws "
+                                             f"are checked on at most {MAX_SUBSET_ITEMS} items"):
+            mp.check_b_space_axioms(vectors, ks)
+        assert calls == []
 
 
 def test_labels_flow_through_operations():
