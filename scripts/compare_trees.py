@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -143,7 +144,8 @@ def compare_selftest(old: str, new: str) -> bool:
 # --- CLI ----------------------------------------------------------------------
 
 # Faults and commands whose output is meant to change against the tree compared to.
-INTENDED = set()
+INTENDED = {f"{verb}-{shape}" for verb in ("dm-complete", "b-complete")
+            for shape in ("antichain-13", "crown-8", "crown-9")}
 
 _FAULT_MAIN = ("import sys, maxplus.order as od; od.FiniteIS.is_complete_lattice = "
                "lambda self: False; from maxplus.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -205,12 +207,18 @@ def _write_inputs(d: str, new_src: str) -> list:
         add(f"{verb}-labels", verb, fa, ab, fb, ba)
         add(f"{verb}-dims", verb, fa, ab, fb, abc)
     add("integrate-unit", "integrate", "--phi", ab)
-    posets = [order.FiniteIS.antichain([f"e{i}" for i in range(12)]),
-              order.FiniteIS.chain([f"c{i}" for i in range(12)])] + selftest.all_small_posets(4)
-    for i, s in enumerate(posets):
-        p = w(f"p{i}.pos", formats.format_poset(s))
-        add(f"dm-complete-{i}", "dm-complete", "--poset", p)
-        add(f"b-complete-{i}", "b-complete", "--poset", p)
+    small = [order.FiniteIS.antichain([f"e{i}" for i in range(12)]),
+             order.FiniteIS.chain([f"c{i}" for i in range(12)])] + selftest.all_small_posets(4)
+    posets = [(str(i), s) for i, s in enumerate(small)]
+    posets.append(("antichain-13", order.FiniteIS.antichain([f"e{i}" for i in range(13)])))
+    for k in (8, 9):   # the 2k-element crown a_i < b_j (i != j) has 2^k cuts
+        a, b = [f"a{i}" for i in range(k)], [f"b{j}" for j in range(k)]
+        posets.append((f"crown-{k}", order.FiniteIS.from_pairs(
+            a + b, [(a[i], b[j]) for i in range(k) for j in range(k) if i != j])))
+    for name, s in posets:
+        p = w(f"p{name}.pos", formats.format_poset(s))
+        add(f"dm-complete-{name}", "dm-complete", "--poset", p)
+        add(f"b-complete-{name}", "b-complete", "--poset", p)
     reserved = w("reserved.pos", "elements: _top a\n")
     add("dm-complete-reserved-label", "dm-complete", "--poset", reserved)
     add("b-complete-reserved-label", "b-complete", "--poset", reserved)
@@ -253,8 +261,10 @@ def _run_cli(src: str, argv: list, injected: bool) -> tuple:
     head = ["-c", _FAULT_MAIN] if injected else ["-m", "maxplus.cli"]
     proc = subprocess.run([sys.executable, *head, *argv], env=_env(src),
                           capture_output=True, text=True)
-    # a traceback names the tree it ran from; only the rest is compared
-    return proc.returncode, proc.stdout, proc.stderr.replace(os.path.abspath(src), "<src>")
+    # a traceback names the tree it ran from, and its line numbers move with any
+    # edit above them; the frames' functions, source lines and the message are compared
+    err = proc.stderr.replace(os.path.abspath(src), "<src>")
+    return proc.returncode, proc.stdout, re.sub(r'(File "<src>/[^"]*", line )\d+', r"\1N", err)
 
 
 def compare_cli(old: str, new: str) -> bool:

@@ -16,7 +16,7 @@ from .semimodules import (DimensionMismatchError, FinVector, SpanBasis,
                           unit_vector, v_add, v_inf, v_leq, v_scale, v_sup,
                           vector, zero_vector)
 from .order import (CompletionResult, FiniteIS, PosetError, b_completion,
-                    dm_completion, order_isomorphic, standard_order)
+                    dm_completion, standard_order)
 from .functionals import (EqualPointsError, FunctionalRep,
                           InconsistentValuesError, LinearMapSample,
                           ZeroFunctionalError, check_a_linear,

@@ -223,6 +223,21 @@ def test_dm_complete(files, capsys):
     assert out2.splitlines()[0] == "elements: _bot a b _top"
 
 
+def test_dm_complete_bounds_cuts_not_elements(files, capsys):
+    labels = [f"e{i}" for i in range(13)]
+    poset = files("anti13.pos", formats.format_poset(mp.FiniteIS.antichain(labels)))
+    code, out, _ = run_cli(["dm-complete", "--poset", poset], capsys)
+    assert code == 0
+    assert out.splitlines()[0].split()[1:] == ["_bot", *labels, "_top"]
+    a, b = [f"a{i}" for i in range(9)], [f"b{j}" for j in range(9)]
+    crown = mp.FiniteIS.from_pairs(a + b, [(a[i], b[j]) for i in range(9)
+                                           for j in range(9) if i != j])
+    code, out, err = run_cli(["dm-complete", "--poset",
+                              files("crown9.pos", formats.format_poset(crown))], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: completion limited to 256 cuts")
+
+
 def test_check_axioms(capsys):
     code, out, _ = run_cli(["check-axioms", "--semiring", "boolean"], capsys)
     assert code == 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import maxplus as mp
-from maxplus import formats
+from maxplus import formats, order
 from maxplus.order import FiniteIS
 from maxplus.selftest import all_small_posets
 from _oracles import (_subsets, closure_oracle, complete_lattice_oracle, cuts_oracle,
@@ -77,9 +77,9 @@ def test_dm_completion_adds_bottom_when_absent():
 
 
 def test_dm_completion_size_guard():
+    # past the old 12-element cap: the bound is on cuts, and an antichain has n + 2
     s = FiniteIS.antichain([f"e{i}" for i in range(13)])
-    with pytest.raises(mp.PosetError):
-        mp.dm_completion(s)
+    assert len(mp.dm_completion(s).completed.elements) == 15
 
 
 def test_embedding_preserves_joins_small():
@@ -103,7 +103,7 @@ def test_completion_is_idempotent():
         twice = mp.dm_completion(once)
         assert len(twice.completed.elements) == len(once.elements)
         assert set(twice.embedding.keys()) == set(once.elements)
-        assert mp.order_isomorphic(once, twice.completed) or len(once.elements) > 8
+        assert twice.completed.relation == once.relation
         # every cut of a lattice is principal, so nothing is synthesized twice
         assert twice.completed.elements == once.elements
 
@@ -139,12 +139,6 @@ def test_b_completion_chain_with_top():
     assert result.completed.elements == s.elements
 
 
-def test_order_isomorphic():
-    assert mp.order_isomorphic(chain("a", "b", "c"), chain("x", "y", "z"))
-    assert not mp.order_isomorphic(chain("a", "b", "c"),
-                                   FiniteIS.antichain(["x", "y", "z"]))
-
-
 def test_has_all_joins():
     assert chain("a", "b").has_all_joins()
     assert not FiniteIS.antichain(["a", "b"]).has_all_joins()
@@ -165,16 +159,50 @@ def test_completion_and_lattice_check_match_subset_oracles():
         assert lattice.is_complete_lattice() and complete_lattice_oracle(lattice)
 
 
+def crown(k):
+    """The 2k-element crown, a_i < b_j for i != j: its completion has 2^k cuts."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{j}" for j in range(k)]
+    return FiniteIS.from_pairs(a + b, [(a[i], b[j]) for i in range(k)
+                                       for j in range(k) if i != j])
+
+
 def test_crown_completes_to_oracle_cuts():
-    # The 10-element crown, a_i < b_j for i != j, inside the 12-element cap.
-    a = [f"a{i}" for i in range(5)]
-    b = [f"b{j}" for j in range(5)]
-    crown = FiniteIS.from_pairs(a + b, [(a[i], b[j]) for i in range(5)
-                                        for j in range(5) if i != j])
-    lattice = mp.dm_completion(crown).completed
-    cuts = cuts_oracle(crown)
-    assert len(cuts) == len(lattice.elements) == 32
+    # the 14-element 7-crown is past the old 12-element cap
+    for k in (5, 7):
+        lattice = mp.dm_completion(crown(k)).completed
+        cuts = cuts_oracle(crown(k))
+        assert len(cuts) == len(lattice.elements) == 2 ** k
+        assert lattice.relation == inclusion_relation(cuts)
+
+
+def test_completion_at_the_cut_bound():
+    assert order.COMPLETION_MAX_CUTS == 256
+    s = crown(8)
+    cuts = order._enumerate_cuts(s)
+    lattice = mp.dm_completion(s).completed
+    assert len(cuts) == len(lattice.elements) == 256
     assert lattice.relation == inclusion_relation(cuts)
+    labels = [f"c{i}" for i in range(256)]
+    assert mp.dm_completion(FiniteIS.chain(labels)).completed.elements == tuple(labels)
+
+
+def test_completion_past_the_cut_bound_is_refused_while_enumerating():
+    with pytest.raises(mp.PosetError, match="completion limited to 256 cuts"):
+        order._enumerate_cuts(crown(9))   # 512 cuts
+    with pytest.raises(mp.PosetError, match="completion limited to 256 cuts"):
+        mp.dm_completion(crown(9))
+
+
+def test_completion_past_the_cut_bound_is_refused_before_validation(monkeypatch):
+    s = FiniteIS.chain([f"c{i}" for i in range(257)])
+    calls = []
+    validate = FiniteIS.validate
+    monkeypatch.setattr(FiniteIS, "validate", lambda self: calls.append(1) or validate(self))
+    with pytest.raises(mp.PosetError,
+                       match="completion limited to 256 cuts, got 257 elements"):
+        mp.dm_completion(s)
+    assert calls == []
 
 
 def test_from_pairs_matches_closure_oracle_on_random_dags():
