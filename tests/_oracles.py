@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the closed forms under test: evaluation is checked by
-scanning a coefficient grid and the one-pass residual loops by composing the
-scalar residuals, membership by enumerating integer coefficient
-combinations, scalar products by exhaustive max over the point set, and the
-order and graph-closure checks and the subset-law folds by scanning every subset.
+scanning a coefficient grid, the one-pass residual loops by composing the
+scalar residuals, the span kernel by composing s_mul, v_scale and v_sup,
+membership by enumerating integer coefficient combinations, scalar products
+by exhaustive max over the point set, and the order and graph-closure checks
+and the subset-law folds by scanning every subset.
 """
 
 from fractions import Fraction
@@ -36,6 +37,17 @@ def sup_div_oracle(ys, xs):
 def inf_div_dual_oracle(ys, gs):
     """The projection coefficient composed generically: big_inf of s_div_dual."""
     return mp.big_inf(mp.s_div_dual(y, g) for y, g in zip(ys, gs))
+
+
+def sup_of_products_oracle(ks, rows):
+    """The span kernel composed generically: big_sup of s_mul, one column at a time."""
+    return tuple(mp.big_sup(mp.s_mul(k, c) for k, c in zip(ks, column))
+                 for column in zip(*rows))
+
+
+def span_sup_oracle(ks, generators, dim):
+    """sup_g k_g * g composed as v_sup of v_scale, refusals and labels included."""
+    return mp.v_sup([mp.v_scale(k, g) for k, g in zip(ks, generators)], dim=dim)
 
 
 def greatest_scaling(w, y, lo=-10, hi=10):

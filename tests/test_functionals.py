@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import maxplus as mp
 from maxplus.functionals import LinearMapSample
 from maxplus.report import MAX_SUBSET_ITEMS
-from _oracles import graph_violation_oracle, star_oracle, sup_div_oracle
+from _oracles import graph_violation_oracle, span_sup_oracle, star_oracle, sup_div_oracle
 
 rng = random.Random(2024)
 
@@ -202,6 +203,76 @@ def test_extend_restricts_exactly_on_random_consistent_instances():
         f = mp.extend_functional(basis, values, dim)
         for g, v in zip(basis.generators, values):
             assert f(g) == v
+
+
+# The refusals and labels of the generator fold, pinned before the span kernel replaced it.
+def test_extension_refuses_generators_whose_labels_disagree():
+    ab, ba = mp.vector([0, 1], labels=["a", "b"]), mp.vector([2, 3], labels=["b", "a"])
+    with pytest.raises(mp.DimensionMismatchError, match="coordinate labels disagree"):
+        mp.extend_functional(mp.SpanBasis.of([ab, ba]), [mp.ONE, mp.ONE], 2)
+
+
+def test_extension_refuses_generators_of_mixed_dimensions():
+    basis = mp.SpanBasis((mp.vector([0, 1]), mp.vector([0])))
+    with pytest.raises(mp.DimensionMismatchError, match="dimension mismatch: 2 vs 1"):
+        mp.extend_functional(basis, [mp.ONE, mp.ONE], 2)
+
+
+def test_empty_span_extends_to_the_ambient_zero():
+    f = mp.extend_functional(mp.SpanBasis(()), [], 3)
+    assert f.representer == mp.zero_vector(3) and f.representer.labels is None
+
+
+def test_extension_carries_the_first_labeled_generators_labels():
+    plain, ab = mp.vector([0, 0]), mp.vector([1, 2], labels=["a", "b"])
+    f = mp.extend_functional(mp.SpanBasis((plain, ab)), [mp.ONE, mp.finite(2)], 2)
+    assert f.representer == mp.vector([0, 0], labels=["a", "b"])
+
+
+def extension_by_composition(generators, values, dim):
+    """extend_functional with the candidate composed as v_sup of v_scale."""
+    x = span_sup_oracle([mp.s_div(mp.ONE, v) for v in values], generators, dim)
+    if x.dim != dim:
+        raise mp.DimensionMismatchError("generators do not live in the ambient dimension")
+    bad = next((i for i, (g, v) in enumerate(zip(generators, values))
+                if mp.star_eval(x, g) != v), None)
+    return x if bad is None else bad
+
+
+# -inf and +inf are drawn half of the time; labelings are none, one or its
+# reverse; a vector is one coordinate short an eighth of the time.
+extension_scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP),
+                              st.integers(-6, 6).map(mp.finite),
+                              st.fractions(-6, 6, max_denominator=2).map(mp.finite))
+extension_vectors = st.tuples(st.lists(extension_scalars, min_size=3, max_size=3),
+                              st.integers(0, 7),
+                              st.sampled_from([None, None, ("a", "b", "c"), ("c", "b", "a")])
+                              ).map(lambda t: mp.FinVector(tuple(t[0][:2 + (t[1] > 0)]),
+                                                           t[2] if t[1] else None))
+
+
+@given(st.lists(extension_vectors, max_size=4), extension_vectors, st.booleans(),
+       st.lists(extension_scalars, min_size=4, max_size=4))
+def test_extension_matches_its_composition(generators, hidden, consistent, drawn):
+    if consistent and hidden.dim == 3 and not hidden.is_all_top():
+        values = [mp.star_eval(mp.FinVector(hidden.coords), mp.FinVector(g.coords))
+                  if g.dim == 3 else mp.ONE for g in generators]
+    else:
+        values = drawn[:len(generators)]
+    try:
+        want = extension_by_composition(generators, values, 3)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            mp.extend_functional(mp.SpanBasis(tuple(generators)), values, 3)
+        return
+    if isinstance(want, int):
+        with pytest.raises(mp.InconsistentValuesError) as err:
+            mp.extend_functional(mp.SpanBasis(tuple(generators)), values, 3)
+        assert err.value.witness == want
+        return
+    got = mp.extend_functional(mp.SpanBasis(tuple(generators)), values, 3).representer
+    assert got == want and got.labels == want.labels
+    assert [type(c.q) for c in got.coords] == [type(c.q) for c in want.coords]
 
 
 # --- separation --------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.report import MAX_SUBSET_ITEMS
-from _oracles import greatest_scaling, inf_div_dual_oracle, span_member_oracle
+from maxplus.semimodules import _join_labels
+from _oracles import greatest_scaling, inf_div_dual_oracle, span_member_oracle, span_sup_oracle
 
 finites = st.integers(min_value=-10, max_value=10).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -125,6 +126,54 @@ def test_projection_coefficient_matches_its_composition(pairs, g_labeled, y_labe
     assert projection.coords == want and projection.labels == y.labels
     assert [type(c.q) for c in projection.coords] == [type(c.q) for c in want]
     assert member == (want == y.coords)
+
+
+def test_projection_refuses_generators_whose_labels_disagree():
+    # each generator agrees with the unlabeled target, but not with the other
+    ab, ba = mp.vector([0, 1], labels=["a", "b"]), mp.vector([2, 3], labels=["b", "a"])
+    with pytest.raises(mp.DimensionMismatchError, match="coordinate labels disagree"):
+        mp.project_onto_span(mp.vector([0, 0]), mp.SpanBasis.of([ab, ba]))
+    assert mp.project_onto_span(ab, mp.SpanBasis(())) == (mp.zero_vector(2, ["a", "b"]), False)
+
+
+def projection_by_composition(y, generators):
+    """project_onto_span as v_sup of v_scale, each generator checked against y first."""
+    for g in generators:
+        _join_labels(g, y)
+    ks = [inf_div_dual_oracle(y.coords, g.coords) for g in generators]
+    projection = mp.FinVector(span_sup_oracle(ks, generators, y.dim).coords, y.labels)
+    return projection, projection.coords == y.coords
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def q_types(v):
+    return [type(c.q) for c in v.coords]
+
+
+# Labelings are drawn per vector (none, one, or its reverse), and a vector is
+# one coordinate longer an eighth of the time, so every refusal is reached.
+labelings = st.sampled_from([None, None, ("a", "b", "c"), ("c", "b", "a")])
+span_vectors = st.tuples(st.lists(projection_scalars, min_size=3, max_size=3),
+                         st.integers(0, 7), labelings).map(
+    lambda t: mp.FinVector(tuple(t[0] + t[0][:1] * (t[1] == 0)),
+                           None if t[2] is None or t[1] == 0 else t[2]))
+
+
+@given(span_vectors, st.lists(span_vectors, min_size=1, max_size=4))
+def test_projection_matches_its_composition(y, generators):
+    basis = mp.SpanBasis(tuple(generators))
+    got = outcome(mp.project_onto_span, y, basis)
+    want = outcome(projection_by_composition, y, basis.generators)
+    assert got == want
+    if isinstance(want[0], mp.FinVector):
+        assert got[0].labels == want[0].labels and q_types(got[0]) == q_types(want[0])
 
 
 def test_projection_is_a_closure_dual():
