@@ -39,6 +39,14 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
           "theorem-1-a-linearity", "theorem-2-extension", "theorem-2-separation",
           "proposition-2", "proposition-3", "proposition-4", "theorem-3")
 
+# Faults and commands whose output is meant to change against the tree compared to:
+# - closure-adds-nothing: projection and extension build their suprema with
+#   scalars.sup_of_products, not by folding semimodules.v_add, so the fault no
+#   longer reaches them; it still fails theorem-1-a-linearity through v_sup;
+# - dm-complete-chain-257: the poset file is refused on its header line, before
+#   the closure, rather than by dm_completion.
+INTENDED = {"closure-adds-nothing", "dm-complete-chain-257"}
+
 # Each fault is Python source run in the child before the selftest; it may
 # refer to the modules st (selftest), sa (semialgebra), sm (semimodules), od (order).
 FAULTS = {
@@ -143,10 +151,6 @@ def compare_selftest(old: str, new: str) -> bool:
 
 # --- CLI ----------------------------------------------------------------------
 
-# Faults and commands whose output is meant to change against the tree compared to.
-INTENDED = {f"{verb}-{shape}" for verb in ("dm-complete", "b-complete")
-            for shape in ("antichain-13", "crown-8", "crown-9")}
-
 _FAULT_MAIN = ("import sys, maxplus.order as od; od.FiniteIS.is_complete_lattice = "
                "lambda self: False; from maxplus.cli import main; sys.exit(main(sys.argv[1:]))")
 
@@ -219,6 +223,9 @@ def _write_inputs(d: str, new_src: str) -> list:
         p = w(f"p{name}.pos", formats.format_poset(s))
         add(f"dm-complete-{name}", "dm-complete", "--poset", p)
         add(f"b-complete-{name}", "b-complete", "--poset", p)
+    chain = [f"c{i}" for i in range(257)]
+    add("dm-complete-chain-257", "dm-complete", "--poset", w("chain257.pos", "elements: "
+        + " ".join(chain) + "\n" + "".join(f"{a} < {b}\n" for a, b in zip(chain, chain[1:]))))
     reserved = w("reserved.pos", "elements: _top a\n")
     add("dm-complete-reserved-label", "dm-complete", "--poset", reserved)
     add("b-complete-reserved-label", "b-complete", "--poset", reserved)

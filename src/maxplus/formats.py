@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from .order import FiniteIS
+from .order import COMPLETION_MAX_CUTS, FiniteIS
 from .scalars import ExtendedScalar, format_scalar, parse_scalar
 from .semimodules import FinVector
 from .semialgebra import AlgebraElement
@@ -140,6 +140,9 @@ def parse_poset(text: str) -> FiniteIS:
     comment = next((e for e in elements if e.startswith("#")), None)
     if comment is not None:  # its relation lines would print as comments
         raise ParseError(f"element label {comment!r} starts with '#'", lineno)
+    if len(elements) > COMPLETION_MAX_CUTS:  # no completion accepts it: refuse before the closure
+        raise ParseError(f"completion limited to {COMPLETION_MAX_CUTS} cuts "
+                         f"(order.COMPLETION_MAX_CUTS), got {len(elements)} elements", lineno)
     pairs = []
     for lineno, line in lines[1:]:
         pm = re.match(r"(\S+)\s*<\s*(\S+)$", line)

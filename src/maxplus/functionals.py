@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence, Tuple, Union
 
 from .report import CheckReport, fold_failures
 from .scalars import BOTTOM, ONE, ExtendedScalar, format_scalar, s_add, s_div, s_mul, sup_div
-from .semimodules import (DimensionMismatchError, FinVector, _join_labels,
+from .semimodules import (DimensionMismatchError, FinVector, _join_labels, span_sup,
                           unit_vector, v_inf, v_scale, v_sup, zero_vector)
 
 
@@ -88,8 +88,7 @@ def extend_functional(w, values: Sequence[ExtendedScalar],
     values = list(values)
     if len(values) != len(generators):
         raise ValueError("one prescribed value per generator is required")
-    pieces = [v_scale(s_div(ONE, v), g) for v, g in zip(values, generators)]
-    x = v_sup(pieces, dim=ambient_dim)
+    x = span_sup([s_div(ONE, v) for v in values], generators, ambient_dim)
     if x.dim != ambient_dim:
         raise DimensionMismatchError("generators do not live in the ambient dimension")
     for i, (g, v) in enumerate(zip(generators, values)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .report import CheckReport, fold_failures
 
@@ -148,9 +148,11 @@ def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> Exten
     """
     best = None
     for y, x in zip(ys, xs):
+        if y is BOTTOM:  # nearly every -inf target is this object: skip it before reading kinds
+            continue
         if y.kind == _FIN and x.kind == _FIN:
             d = y.q - x.q
-        elif y.kind == _BOT:
+        elif y.kind == _BOT:  # a -inf built anew
             continue
         else:
             r = s_div(y, x)
@@ -180,6 +182,29 @@ def inf_div_dual(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> 
         if best is None or d < best:
             best = d
     return TOP if best is None else finite(best)
+
+
+def sup_of_products(ks: Sequence[ExtendedScalar],
+                    rows: Sequence[Sequence[ExtendedScalar]]) -> Tuple[ExtendedScalar, ...]:
+    """The coordinates of sup_g ks[g] * rows[g], read one column at a time.
+
+    A finite pair adds its raw values into a running max; a pair holding an infinity
+    goes through s_mul, whose +inf ends the column.  zip truncates: rows need one length.
+    """
+    out = []
+    for column in zip(*rows):
+        best = None
+        for k, c in zip(ks, column):
+            if k.kind == _FIN and c.kind == _FIN:
+                p = k.q + c.q
+                if best is None or p > best:
+                    best = p
+            elif s_mul(k, c).kind == _TOP:  # else the product is -inf, the empty sup
+                out.append(TOP)
+                break
+        else:
+            out.append(BOTTOM if best is None else finite(best))
+    return tuple(out)
 
 
 def big_sup(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:

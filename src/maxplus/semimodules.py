@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .report import CheckReport, fold_failures, refuse_past_subset_bound
 from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, _scalar_text, big_inf, finite,
-                      inf_div_dual, s_add, s_mul)
+                      inf_div_dual, s_add, s_mul, sup_of_products)
 
 
 class DimensionMismatchError(ValueError):
@@ -109,6 +109,22 @@ def v_inf(xs: Iterable[FinVector], dim: Optional[int] = None) -> FinVector:
                      first.labels)
 
 
+def span_sup(ks: Sequence[ExtendedScalar], generators: Sequence[FinVector],
+             dim: int) -> FinVector:
+    """sup_g ks[g] * generators[g], with the refusals and labels of v_sup's fold of v_scale.
+
+    The first labeling wins; the empty span gives the zero vector of dimension dim.
+    """
+    if not generators:
+        return zero_vector(dim)
+    first = generators[0]
+    for g in generators[1:]:
+        _join_labels(first, g)
+        if first.labels is None:
+            first = g
+    return FinVector(sup_of_products(ks, [g.coords for g in generators]), first.labels)
+
+
 @dataclass(frozen=True)
 class SpanBasis:
     """Generators of a finitely generated subsemimodule; zero generators are dropped."""
@@ -133,15 +149,14 @@ def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
 
     For each generator the greatest admissible coefficient is the meet of the
     coordinatewise residuals, read in one pass by scalars.inf_div_dual; the
-    projection is the supremum of the scaled generators and is always below y.
-    ``member`` reports whether y itself is in the span.
+    projection is the supremum of the scaled generators, built by span_sup, and
+    is always below y.  ``member`` reports whether y itself is in the span.
     """
-    parts = []
+    ks = []
     for g in w.generators:
         _join_labels(g, y)
-        k = inf_div_dual(y.coords, g.coords)
-        parts.append(v_scale(k, g))
-    projection = FinVector(v_sup(parts, dim=y.dim).coords, y.labels)
+        ks.append(inf_div_dual(y.coords, g.coords))
+    projection = FinVector(span_sup(ks, w.generators, y.dim).coords, y.labels)
     return projection, projection.coords == y.coords
 
 

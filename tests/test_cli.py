@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,20 @@ def test_dm_complete_bounds_cuts_not_elements(files, capsys):
                               files("crown9.pos", formats.format_poset(crown))], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: completion limited to 256 cuts")
+
+
+def test_dm_complete_refuses_an_oversized_poset_before_its_closure(files, capsys):
+    # the closure of a 1000-chain alone takes seconds; the header refuses it at once
+    for n in (257, 1000):
+        labels = [f"c{i}" for i in range(n)]
+        poset = files(f"chain{n}.pos", "elements: " + " ".join(labels) + "\n"
+                      + "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:])))
+        start = time.perf_counter()
+        code, out, err = run_cli(["dm-complete", "--poset", poset], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 1: completion limited to 256 cuts "
+                       f"(order.COMPLETION_MAX_CUTS), got {n} elements\n")
 
 
 def test_check_axioms(capsys):

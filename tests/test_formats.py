@@ -79,3 +79,12 @@ def test_poset_parse_errors():
         formats.parse_poset("elements: a b\na < zz\n")
     with pytest.raises(formats.ParseError, match="line 1: element label '#a' starts with '#'"):
         formats.parse_poset("elements: b #a\n")
+
+
+def test_poset_past_the_cut_bound_is_refused_on_its_header():
+    # every element is a cut of its own, so no completion accepts more
+    labels = [f"e{i}" for i in range(mp.order.COMPLETION_MAX_CUTS)]
+    assert len(formats.parse_poset("elements: " + " ".join(labels) + "\n").elements) == 256
+    with pytest.raises(formats.ParseError, match=r"^line 2: completion limited to 256 cuts "
+                                                 r"\(order.COMPLETION_MAX_CUTS\), got 257 elements$"):
+        formats.parse_poset("# a comment\nelements: " + " ".join(labels) + " extra\nextra < e0\n")

@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
-from maxplus.scalars import inf_div_dual, sup_div
-from _oracles import greatest_scaling, inf_div_dual_oracle, star_oracle, sup_div_oracle
+from maxplus.scalars import inf_div_dual, sup_div, sup_of_products
+from _oracles import (greatest_scaling, inf_div_dual_oracle, star_oracle, sup_div_oracle,
+                      sup_of_products_oracle)
 
 finites = st.fractions(min_value=-50, max_value=50, max_denominator=12).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -217,7 +218,8 @@ def test_integral_values_are_stored_as_int():
     # An integral result of Fraction arithmetic is stored as int too.
     half, minus_half = mp.finite(Fraction(1, 2)), mp.finite(Fraction(-1, 2))
     for result in (mp.s_mul(half, half), mp.s_div(half, half), mp.s_div(half, minus_half),
-                   sup_div([half], [minus_half]), inf_div_dual([half, mp.TOP], [half, mp.ONE])):
+                   sup_div([half], [minus_half]), inf_div_dual([half, mp.TOP], [half, mp.ONE]),
+                   sup_of_products([half, mp.BOTTOM], [[half], [mp.TOP]])[0]):
         assert type(result.q) is int, result
     assert mp.finite(1) < mp.finite(Fraction(3, 2)) <= mp.finite(Fraction(3, 2))
 
@@ -249,9 +251,23 @@ def same_scalar(a, b):
 def test_sup_div_matches_its_composition(pairs):
     ys, xs = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
     assert same_scalar(sup_div(ys, xs), sup_div_oracle(ys, xs))
+    anew = tuple(mp.ExtendedScalar(y.kind, y.q) for y in ys)  # no -inf is the BOTTOM object
+    assert same_scalar(sup_div(anew, xs), sup_div_oracle(ys, xs))
 
 
 @given(coordinate_pairs)
 def test_inf_div_dual_matches_its_composition(pairs):
     ys, gs = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
     assert same_scalar(inf_div_dual(ys, gs), inf_div_dual_oracle(ys, gs))
+
+
+# Up to five rows of one drawn length, each with its coefficient.
+scaled_rows = st.integers(min_value=0, max_value=6).flatmap(lambda d: st.lists(
+    st.tuples(loop_scalars, st.lists(loop_scalars, min_size=d, max_size=d)), max_size=5))
+
+
+@given(scaled_rows)
+def test_sup_of_products_matches_its_composition(pairs):
+    ks, rows = [p[0] for p in pairs], [p[1] for p in pairs]
+    got, want = sup_of_products(ks, rows), sup_of_products_oracle(ks, rows)
+    assert len(got) == len(want) and all(map(same_scalar, got, want))
