@@ -10,8 +10,10 @@ Three comparisons, each run in fresh interpreters with PYTHONPATH set to one tre
 1. ``run_selftest(seed, dim, samples)`` on every seed x dim x samples of the grid below.
 2. The same run under injected faults: library names are replaced on
    ``maxplus.selftest``, ``maxplus.semialgebra``, ``maxplus.semimodules`` and
-   ``maxplus.order`` identically in both trees.  Every suite must print at
-   least one FAIL line somewhere, so each failure path is compared too.
+   ``maxplus.order`` identically in both trees, and rebound in every other
+   ``maxplus`` module that held the replaced object, so a fault reaches a
+   call site whatever its import style.  Every suite must print at least one
+   FAIL line somewhere, so each failure path is compared too.
 3. ``python -m maxplus.cli`` on a fixed command set: stdout, stderr and exit
    code.
 
@@ -39,16 +41,13 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
           "theorem-1-a-linearity", "theorem-2-extension", "theorem-2-separation",
           "proposition-2", "proposition-3", "proposition-4", "theorem-3")
 
-# Faults and commands whose output is meant to change against the tree compared to:
-# - closure-adds-nothing: projection and extension build their suprema with
-#   scalars.sup_of_products, not by folding semimodules.v_add, so the fault no
-#   longer reaches them; it still fails theorem-1-a-linearity through v_sup;
-# - dm-complete-chain-257: the poset file is refused on its header line, before
-#   the closure, rather than by dm_completion.
-INTENDED = {"closure-adds-nothing", "dm-complete-chain-257"}
+# Faults and commands whose output is meant to change against the tree compared to,
+# each listed with the reason; empty when the two trees must agree everywhere.
+INTENDED: set = set()
 
 # Each fault is Python source run in the child before the selftest; it may
 # refer to the modules st (selftest), sa (semialgebra), sm (semimodules), od (order).
+# Every maxplus module that bound a name the fault replaces gets the replacement too.
 FAULTS = {
     "boolean-add-is-and": "import dataclasses; _b = st.boolean_semifield; "
                           "st.boolean_semifield = lambda: dataclasses.replace(_b(), add=lambda a, b: a and b)",
@@ -97,7 +96,17 @@ _CHILD = """
 import json, sys
 import maxplus.selftest as st, maxplus.semialgebra as sa, maxplus.semimodules as sm
 import maxplus.order as od
+mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "maxplus"]
+before = {m: dict(vars(m)) for m in mods}
 exec(sys.argv[1])
+# Collect every replacement before rebinding any, so one rebinding cannot be read as another.
+swaps = [(before[m][k], v) for m in mods for k, v in vars(m).items()
+         if k in before[m] and v is not before[m][k]]
+for old, new in swaps:
+    for m in mods:
+        for k, v in list(vars(m).items()):
+            if v is old:
+                setattr(m, k, new)
 out = []
 for seed, dim, samples in json.loads(sys.argv[2]):
     try:

@@ -9,8 +9,8 @@ from .scalars import (BOTTOM, ONE, TOP, ZERO, ExtendedScalar,
                       NotInvertibleError, SemiringDescriptor, big_inf,
                       big_sup, boolean_semifield, check_semiring_axioms,
                       extended_maxplus, finite, format_scalar, leq,
-                      maxplus_semifield, parse_scalar, s_add, s_div,
-                      s_div_dual, s_inv, s_mul)
+                      maxplus_semifield, parse_scalar, s_add, s_conj,
+                      s_div, s_div_dual, s_inv, s_mul)
 from .semimodules import (DimensionMismatchError, FinVector, SpanBasis,
                           check_b_space_axioms, project_onto_span, top_vector,
                           unit_vector, v_add, v_inf, v_leq, v_scale, v_sup,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple, Union
 
 from .report import CheckReport, fold_failures
-from .scalars import BOTTOM, ONE, ExtendedScalar, format_scalar, s_add, s_div, s_mul, sup_div
+from .scalars import BOTTOM, ExtendedScalar, format_scalar, s_add, s_conj, s_mul, sup_div
 from .semimodules import (DimensionMismatchError, FinVector, _join_labels, span_sup,
                           unit_vector, v_inf, v_scale, v_sup, zero_vector)
 
@@ -66,12 +66,12 @@ def recover_representer(f: Union[Oracle, FunctionalRep], probe_dim: int) -> FinV
     Probing on the unit vectors inverts the evaluation formula coordinatewise,
     one oracle call per unit vector.  The recovery needs no re-check against
     those probes: star_eval(x, e_i) reads coordinate i alone, so it is
-    s_div(ONE, s_div(ONE, v_i)), which is v_i for -inf, finite and +inf alike.
+    s_conj(s_conj(v_i)), which is v_i for -inf, finite and +inf alike.
     """
     values = [f(unit_vector(i, probe_dim)) for i in range(probe_dim)]
     if all(v.is_bottom() for v in values):
         raise ZeroFunctionalError("zero functional has no representer")
-    return FinVector(tuple(s_div(ONE, v) for v in values))
+    return FinVector(tuple(s_conj(v) for v in values))
 
 
 def extend_functional(w, values: Sequence[ExtendedScalar],
@@ -88,7 +88,7 @@ def extend_functional(w, values: Sequence[ExtendedScalar],
     values = list(values)
     if len(values) != len(generators):
         raise ValueError("one prescribed value per generator is required")
-    x = span_sup([s_div(ONE, v) for v in values], generators, ambient_dim)
+    x = span_sup([s_conj(v) for v in values], generators, ambient_dim)
     if x.dim != ambient_dim:
         raise DimensionMismatchError("generators do not live in the ambient dimension")
     for i, (g, v) in enumerate(zip(generators, values)):

@@ -103,30 +103,26 @@ def s_mul(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
     return ExtendedScalar(_FIN, q) if type(q) is int else finite(q)
 
 
+def s_conj(a: ExtendedScalar) -> ExtendedScalar:
+    """The conjugate -a: negates a finite value and swaps -inf and +inf.
+
+    It is an order-reversing involution, and both residuals are s_mul against it.
+    """
+    if a.kind == _FIN:
+        return ExtendedScalar(_FIN, -a.q)
+    return TOP if a.kind == _BOT else BOTTOM
+
+
 def s_inv(a: ExtendedScalar) -> ExtendedScalar:
     """Multiplicative inverse; only finite values are invertible."""
     if a.kind != _FIN:
         raise NotInvertibleError(f"{format_scalar(a)} is not invertible")
-    return ExtendedScalar(_FIN, -a.q)
+    return s_conj(a)
 
 
 def s_div(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
-    """Least k with a <= k*b: the residual that evaluates dual functionals.
-
-    A -inf target needs only k = -inf; a -inf divisor makes every nonzero target
-    unreachable (+inf); a +inf divisor is met by every nonzero k, whose infimum
-    is -inf.  Finite values divide by rational subtraction.
-    """
-    if a.kind == _BOT:
-        return BOTTOM
-    if b.kind == _BOT:
-        return TOP
-    if b.kind == _TOP:
-        return BOTTOM
-    if a.kind == _TOP:
-        return TOP
-    q = a.q - b.q
-    return ExtendedScalar(_FIN, q) if type(q) is int else finite(q)
+    """Least k with a <= k*b: the residual that evaluates dual functionals."""
+    return s_mul(a, s_conj(b))
 
 
 def s_div_dual(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
@@ -135,16 +131,16 @@ def s_div_dual(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
     It equals s_div except at (-inf, -inf) and (+inf, +inf), where every k
     satisfies the inequality and the greatest one is +inf.
     """
-    if a.kind == b.kind != _FIN:
-        return TOP
-    return s_div(a, b)
+    return s_conj(s_mul(s_conj(a), b))
 
 
 def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> ExtendedScalar:
     """big_sup(s_div(y, x) for y, x in zip(ys, xs) if not y.is_bottom()), in one pass.
 
     A finite pair adds its raw difference to a running max; a pair holding an
-    infinity goes through s_div, and +inf stops the read as in big_sup.
+    infinity goes through s_div, and +inf stops the read as in big_sup.  Its
+    conjugate s_conj(sup_div(gs, ys)) is big_inf(s_div_dual(y, g)), the greatest
+    k with k*g <= y.
     """
     best = None
     for y, x in zip(ys, xs):
@@ -152,8 +148,6 @@ def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> Exten
             continue
         if y.kind == _FIN and x.kind == _FIN:
             d = y.q - x.q
-        elif y.kind == _BOT:  # a -inf built anew
-            continue
         else:
             r = s_div(y, x)
             if r.kind == _TOP:
@@ -162,26 +156,6 @@ def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> Exten
         if best is None or d > best:
             best = d
     return BOTTOM if best is None else finite(best)
-
-
-def inf_div_dual(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> ExtendedScalar:
-    """big_inf(s_div_dual(y, x) for y, x in zip(ys, xs)), in one pass.
-
-    A finite pair adds its raw difference to a running min; a pair holding an
-    infinity goes through s_div_dual, and -inf stops the read as in big_inf.
-    """
-    best = None
-    for y, x in zip(ys, xs):
-        if y.kind == _FIN and x.kind == _FIN:
-            d = y.q - x.q
-        else:
-            r = s_div_dual(y, x)
-            if r.kind == _BOT:
-                return r
-            continue  # the other residual of an infinite pair is +inf, the empty inf
-        if best is None or d < best:
-            best = d
-    return TOP if best is None else finite(best)
 
 
 def sup_of_products(ks: Sequence[ExtendedScalar],

@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .report import CheckReport, fold_failures, refuse_past_subset_bound
 from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, _scalar_text, big_inf, finite,
-                      inf_div_dual, s_add, s_mul, sup_of_products)
+                      s_add, s_conj, s_mul, sup_div, sup_of_products)
 
 
 class DimensionMismatchError(ValueError):
@@ -147,15 +147,15 @@ class SpanBasis:
 def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     """Residuated projection of y onto the span of w.
 
-    For each generator the greatest admissible coefficient is the meet of the
-    coordinatewise residuals, read in one pass by scalars.inf_div_dual; the
+    For each generator g the greatest admissible coefficient is the meet of the
+    coordinatewise residuals, the conjugate of scalars.sup_div(g, y); the
     projection is the supremum of the scaled generators, built by span_sup, and
     is always below y.  ``member`` reports whether y itself is in the span.
     """
     ks = []
     for g in w.generators:
         _join_labels(g, y)
-        ks.append(inf_div_dual(y.coords, g.coords))
+        ks.append(s_conj(sup_div(g.coords, y.coords)))
     projection = FinVector(span_sup(ks, w.generators, y.dim).coords, y.labels)
     return projection, projection.coords == y.coords
 

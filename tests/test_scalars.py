@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
-from maxplus.scalars import inf_div_dual, sup_div, sup_of_products
+from maxplus.scalars import sup_div, sup_of_products
 from _oracles import (greatest_scaling, inf_div_dual_oracle, star_oracle, sup_div_oracle,
                       sup_of_products_oracle)
 
@@ -218,7 +218,8 @@ def test_integral_values_are_stored_as_int():
     # An integral result of Fraction arithmetic is stored as int too.
     half, minus_half = mp.finite(Fraction(1, 2)), mp.finite(Fraction(-1, 2))
     for result in (mp.s_mul(half, half), mp.s_div(half, half), mp.s_div(half, minus_half),
-                   sup_div([half], [minus_half]), inf_div_dual([half, mp.TOP], [half, mp.ONE]),
+                   sup_div([half], [minus_half]),
+                   mp.s_conj(sup_div([half, mp.ONE], [half, mp.TOP])),
                    sup_of_products([half, mp.BOTTOM], [[half], [mp.TOP]])[0]):
         assert type(result.q) is int, result
     assert mp.finite(1) < mp.finite(Fraction(3, 2)) <= mp.finite(Fraction(3, 2))
@@ -257,8 +258,40 @@ def test_sup_div_matches_its_composition(pairs):
 
 @given(coordinate_pairs)
 def test_inf_div_dual_matches_its_composition(pairs):
+    # the projection coefficient is the conjugate of sup_div with the sequences swapped
     ys, gs = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
-    assert same_scalar(inf_div_dual(ys, gs), inf_div_dual_oracle(ys, gs))
+    assert same_scalar(mp.s_conj(sup_div(gs, ys)), inf_div_dual_oracle(ys, gs))
+
+
+# -inf and +inf are drawn both as the module's objects and rebuilt from their kind.
+conj_scalars = st.one_of(loop_scalars, st.sampled_from([mp.BOTTOM.kind, mp.TOP.kind]).map(
+    mp.ExtendedScalar))
+
+
+@given(conj_scalars)
+def test_conjugate_is_an_involution(a):
+    assert same_scalar(mp.s_conj(mp.s_conj(a)), a)
+
+
+@given(conj_scalars, conj_scalars)
+def test_conjugate_reverses_the_order(a, b):
+    assert mp.leq(a, b) == mp.leq(mp.s_conj(b), mp.s_conj(a))
+
+
+def test_conjugate_fixes_one_and_swaps_the_infinities():
+    assert same_scalar(mp.s_conj(mp.ONE), mp.ONE)
+    for a, b in ((mp.BOTTOM, mp.TOP), (mp.ExtendedScalar(mp.BOTTOM.kind), mp.TOP),
+                 (mp.TOP, mp.BOTTOM), (mp.ExtendedScalar(mp.TOP.kind), mp.BOTTOM)):
+        assert mp.s_conj(a) == b
+
+
+@given(conj_scalars)
+def test_inverse_is_the_conjugate_on_finite_values(a):
+    if a.is_finite():
+        assert same_scalar(mp.s_inv(a), mp.s_conj(a))
+    else:
+        with pytest.raises(mp.NotInvertibleError):
+            mp.s_inv(a)
 
 
 # Up to five rows of one drawn length, each with its coefficient.
