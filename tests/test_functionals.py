@@ -132,11 +132,11 @@ def test_recover_zero_functional_errors():
 
 
 def test_recovery_identity_holds_for_every_kind():
-    # star_eval(x, e_i) reads coordinate i alone, so recovery returns each probed
-    # value exactly when this holds; it is why recovery needs no re-check.
+    # star_eval(x, e_i) reads coordinate i alone, as s_div(ONE, x_i), and recovery
+    # returns its conjugate; this is why recovery needs no re-check.
     for text in ("-inf", "-1/2", "0", "3", str(10 ** 50), "+inf"):
         v = mp.parse_scalar(text)
-        assert mp.s_div(mp.ONE, mp.s_div(mp.ONE, v)) == v
+        assert mp.s_conj(mp.s_div(mp.ONE, v)) == v
 
 
 def test_recover_plain_oracles():
