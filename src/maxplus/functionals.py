@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple, Union
 
-from .report import CheckReport, fold_failures
+from .report import CheckReport, fold_failures, refuse_past_subset_bound
 from .scalars import BOTTOM, ExtendedScalar, format_scalar, s_add, s_conj, s_mul, sup_div
 from .semimodules import (DimensionMismatchError, FinVector, _join_labels, span_sup,
                           unit_vector, v_inf, v_scale, v_sup, zero_vector)
@@ -141,11 +141,13 @@ def check_a_linear(map_fn: VectorMap,
     vector and once per subset.  Scalar homogeneity k * p(x) = p(k * x) is
     checked for the supplied scalars except +inf (the evaluation functionals
     are not +inf-homogeneous, matching the scalar-side caveat in the
-    degenerate conventions).
+    degenerate conventions).  More than report.MAX_SUBSET_ITEMS test vectors are
+    refused before map_fn is called.
     """
     test_vectors = list(test_vectors)
     if not test_vectors:
         raise ValueError("need at least one test vector")
+    refuse_past_subset_bound(test_vectors)
     dim = test_vectors[0].dim
     report = CheckReport()
     zero_out = map_fn(zero_vector(dim))  # fixes the output algebra; -inf times it is the zero

@@ -25,10 +25,13 @@ class PosetError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteIS:
-    """A finite partial order: element labels plus a reflexive-transitive leq relation."""
+    """A finite partial order (element labels and a leq relation), validated when built."""
 
     elements: Tuple[str, ...]
     relation: FrozenSet[Tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @classmethod
     def from_pairs(cls, elements: Sequence[str],
@@ -48,9 +51,7 @@ class FiniteIS:
                 if k in up[i]:
                     up[i] |= up[k]
         rel = {(i, j) for i in range(n) for j in up[i]}
-        s = cls(elements, frozenset(rel))
-        s.validate()
-        return s
+        return cls(elements, frozenset(rel))
 
     @classmethod
     def chain(cls, labels: Sequence[str]) -> "FiniteIS":
@@ -164,7 +165,6 @@ def dm_completion(s: FiniteIS) -> CompletionResult:
     n = len(s.elements)
     if n > COMPLETION_MAX_CUTS:  # each element has its own principal cut
         raise PosetError(f"completion limited to {COMPLETION_MAX_CUTS} cuts, got {n} elements")
-    s.validate()
     cuts = _enumerate_cuts(s)
     principal = {s.down_set(i): s.elements[i] for i in range(n)}
     full = frozenset(range(n))
@@ -185,20 +185,12 @@ def dm_completion(s: FiniteIS) -> CompletionResult:
     relation = frozenset((i, j) for i, cut_i in enumerate(cuts)
                          for j, cut_j in enumerate(cuts) if cut_i <= cut_j)
     completed = FiniteIS(tuple(labels), relation)
-    completed.validate()
     if not completed.is_complete_lattice():
         raise RuntimeError("cut completion is not a complete lattice")
     # distinct elements have distinct down-sets, so each keeps its own label
     return CompletionResult(completed, {e: e for e in s.elements})
 
 
-def b_completion(s: FiniteIS) -> CompletionResult:
-    """Bounded completion.
-
-    For a finite input every subset is bounded once the missing joins are
-    adjoined, so the bounded completion coincides with the normal completion;
-    the general relation (normal completion = bounded completion plus a top)
-    is degenerate here because a finite nonempty semilattice already contains
-    its own supremum.
-    """
-    return dm_completion(s)
+# Bounded completion: for a finite input every subset is bounded once the
+# missing joins are adjoined, so it coincides with the normal completion.
+b_completion = dm_completion

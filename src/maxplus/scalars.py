@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from .report import CheckReport, fold_failures
+from .report import CheckReport, fold_failures, refuse_past_subset_bound
 
 _BOT = -1
 _FIN = 0
@@ -325,13 +325,15 @@ def check_semiring_axioms(d: SemiringDescriptor,
     """Check every semiring axiom on a sample (the full carrier when finite).
 
     Failures are recorded with a witness tuple, not raised.  The generalized
-    laws fold subsets with report.fold_failures, so 2**n folds per k.
+    laws fold subsets with report.fold_failures, so 2**n folds per k.  More than
+    report.MAX_SUBSET_ITEMS sample values are refused before any law runs.
     """
     if sample is None:
         if d.elements is None:
             raise ValueError(f"semiring {d.name!r} has no finite carrier; a sample is required")
         sample = d.elements
     sample = list(sample)
+    refuse_past_subset_bound(sample)
     report = CheckReport()
 
     pairs = list(itertools.product(sample, repeat=2))

@@ -252,11 +252,10 @@ def all_small_posets(max_n: int) -> List[order.FiniteIS]:
         for mask in range(1 << len(above)):
             rel = {(i, i) for i in range(n)}
             rel.update(p for k, p in enumerate(above) if mask >> k & 1)
-            transitive = all((i, l) in rel
-                             for (i, j) in rel for (k, l) in rel if j == k)
-            if not transitive:
+            try:
+                posets.append(order.FiniteIS(labels, frozenset(rel)))
+            except order.PosetError:  # reflexive and antisymmetric, so not transitive
                 continue
-            posets.append(order.FiniteIS(labels, frozenset(rel)))
     return posets
 
 

@@ -413,9 +413,13 @@ def test_map_changing_output_dimension_is_refused():
 def test_a_linearity_subset_bound():
     tests = [mp.vector([i]) for i in range(MAX_SUBSET_ITEMS)]
     f = mp.FunctionalRep(mp.vector([0]))
-    assert mp.check_a_linear(f, tests).all_passed
+    calls = []
+    counted = lambda v: calls.append(v) or f(v)
+    assert mp.check_a_linear(counted, tests).all_passed
+    calls.clear()
     with pytest.raises(ValueError, match=f"at most {MAX_SUBSET_ITEMS} items"):
-        mp.check_a_linear(f, tests + [mp.vector([-1])])
+        mp.check_a_linear(counted, tests + [mp.vector([-1])])
+    assert calls == []  # refused before the map is called
 
 
 def test_graph_sup_closed_on_functional_sample():

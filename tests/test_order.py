@@ -114,6 +114,17 @@ def test_completion_refuses_a_label_it_would_synthesize():
             mp.dm_completion(FiniteIS.antichain(labels))
 
 
+def test_direct_construction_refuses_what_is_not_a_partial_order():
+    refl = {(0, 0), (1, 1), (2, 2)}
+    for labels, relation, message in (
+            (("a", "b", "a"), refl, "duplicate element label 'a'"),
+            (("a", "b", "c"), refl - {(2, 2)}, "relation is not reflexive"),
+            (("a", "b", "c"), refl | {(0, 1), (1, 0)}, "relation is not antisymmetric"),
+            (("a", "b", "c"), refl | {(0, 1), (1, 2)}, "relation is not transitive")):
+        with pytest.raises(mp.PosetError, match=message):
+            FiniteIS(labels, frozenset(relation))
+
+
 def test_completion_bottom_below_everything():
     for s in all_small_posets(3):
         lattice = mp.dm_completion(s).completed

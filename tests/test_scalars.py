@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
+from maxplus.report import MAX_SUBSET_ITEMS
 from maxplus.scalars import sup_div, sup_of_products
 from _oracles import (greatest_scaling, inf_div_dual_oracle, star_oracle, sup_div_oracle,
                       sup_of_products_oracle)
@@ -109,6 +111,20 @@ def test_extended_maxplus_axioms_on_sample():
     sample = [mp.BOTTOM, mp.finite(-1), mp.finite(0), mp.finite(2), mp.TOP]
     report = mp.check_semiring_axioms(mp.extended_maxplus(), sample)
     assert report.all_passed
+
+
+def test_semiring_axioms_refuse_more_values_than_the_subset_bound():
+    calls = []
+    d = dataclasses.replace(mp.maxplus_semifield(),
+                            add=lambda a, b: calls.append(a) or mp.s_add(a, b),
+                            mul=lambda a, b: calls.append(a) or mp.s_mul(a, b))
+    sample = [mp.finite(k) for k in range(MAX_SUBSET_ITEMS + 1)]
+    assert mp.check_semiring_axioms(d, sample[:2]).all_passed
+    assert calls
+    calls.clear()
+    with pytest.raises(ValueError, match=f"at most {MAX_SUBSET_ITEMS} items"):
+        mp.check_semiring_axioms(d, sample)
+    assert calls == []  # no law runs before the refusal
 
 
 def test_broken_descriptor_reports_witness():
