@@ -8,6 +8,7 @@ program, reported as "internal error: <type>: <message>" after its traceback).
 from __future__ import annotations
 
 import argparse
+import random
 import re
 import sys
 from typing import List, Optional
@@ -164,7 +165,6 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_check_alinear(args) -> int:
-    import random
     f = formats.parse_functional(_read(args.functional))
     rng = random.Random(args.seed)
     tests = [selftest.random_vector(rng, f.dim) for _ in range(args.samples)]

@@ -70,10 +70,13 @@ class FiniteIS:
         return tuple(frozenset(u) for u in up)
 
     def validate(self) -> None:
-        """Refuse repeated labels and any relation that is not a partial order."""
+        """Refuse repeated labels, out-of-range pairs, and any relation not a partial order."""
         if len(set(self.elements)) != len(self.elements):
             dup = next(e for k, e in enumerate(self.elements) if e in self.elements[:k])
             raise PosetError(f"duplicate element label {dup!r}")
+        indices = range(len(self.elements))
+        if any(i not in indices or j not in indices for i, j in self.relation):
+            raise PosetError("relation pair outside the element indices")
         up = self._up
         if any(i not in up[i] for i in range(len(self.elements))):
             raise PosetError("not a partial order: relation is not reflexive")

@@ -15,7 +15,7 @@ from .functionals import ZeroFunctionalError, star_eval
 from .report import CheckReport
 from .scalars import (BOTTOM, ONE, ExtendedScalar, big_sup, NotInvertibleError, s_inv,
                       s_mul)
-from .semimodules import FinVector, _join_labels
+from .semimodules import FinVector, _join_labels, vector
 
 
 class OutsideProperSpaceWarning(UserWarning):
@@ -49,17 +49,16 @@ class AlgebraElement:
 
 
 def element(values: Sequence, labels: Sequence[str]) -> AlgebraElement:
-    from .semimodules import vector
     return AlgebraElement(vector(values, labels))
 
 
 def unit_element(labels: Sequence[str]) -> AlgebraElement:
     """The multiplicative identity: the constant-one (all zeros) function."""
-    return AlgebraElement(FinVector((ONE,) * len(labels), tuple(labels)))
+    return AlgebraElement(FinVector((ONE,) * len(labels), labels))
 
 
 def zero_element(labels: Sequence[str]) -> AlgebraElement:
-    return AlgebraElement(FinVector((BOTTOM,) * len(labels), tuple(labels)))
+    return AlgebraElement(FinVector((BOTTOM,) * len(labels), labels))
 
 
 def point_mass(labels: Sequence[str], t: str) -> AlgebraElement:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .report import CheckReport, fold_failures, refuse_past_subset_bound
-from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, _scalar_text, big_inf, finite,
-                      s_add, s_conj, s_mul, sup_div, sup_of_products)
+from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, _scalar_text, big_inf, big_sup,
+                      finite, s_add, s_conj, s_mul, sup_div, sup_of_products)
 
 
 class DimensionMismatchError(ValueError):
@@ -24,8 +24,13 @@ class FinVector:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.labels is not None and len(self.labels) != len(self.coords):
-            raise DimensionMismatchError("label count does not match dimension")
+        if self.labels is not None:
+            labels = tuple(self.labels)
+            if len(labels) != len(self.coords):
+                raise DimensionMismatchError("label count does not match dimension")
+            if len(set(labels)) != len(labels):
+                raise DimensionMismatchError("duplicate coordinate labels")
+            object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -44,15 +49,15 @@ class FinVector:
 def vector(values: Iterable, labels: Optional[Sequence[str]] = None) -> FinVector:
     """Build a vector from scalars, ints, Fractions, or mixed."""
     coords = tuple(v if isinstance(v, ExtendedScalar) else finite(v) for v in values)
-    return FinVector(coords, tuple(labels) if labels is not None else None)
+    return FinVector(coords, labels)
 
 
 def zero_vector(dim: int, labels: Optional[Sequence[str]] = None) -> FinVector:
-    return FinVector((BOTTOM,) * dim, tuple(labels) if labels is not None else None)
+    return FinVector((BOTTOM,) * dim, labels)
 
 
 def top_vector(dim: int, labels: Optional[Sequence[str]] = None) -> FinVector:
-    return FinVector((TOP,) * dim, tuple(labels) if labels is not None else None)
+    return FinVector((TOP,) * dim, labels)
 
 
 def unit_vector(i: int, dim: int) -> FinVector:
@@ -61,12 +66,24 @@ def unit_vector(i: int, dim: int) -> FinVector:
     return FinVector((BOTTOM,) * i + (ONE,) + (BOTTOM,) * (dim - i - 1))
 
 
-def _join_labels(x: FinVector, y: FinVector) -> Optional[Tuple[str, ...]]:
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if x.labels is not None and y.labels is not None and x.labels != y.labels:
-        raise DimensionMismatchError("coordinate labels disagree")
-    return x.labels if x.labels is not None else y.labels
+def _join_labels(*xs: FinVector) -> Optional[Tuple[str, ...]]:
+    """The one rule for coordinate labels across a family of vectors.
+
+    Each vector, in order, must match the first labeled vector before it (the
+    first vector, if none is labeled yet) in dimension and labels; that
+    labeling is returned.  An empty family has no dimension and is refused.
+    """
+    if not xs:
+        raise DimensionMismatchError("an empty family of vectors has no dimension")
+    first = xs[0]
+    for y in xs:
+        if first.dim != y.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {first.dim} vs {y.dim}")
+        if first.labels is None:
+            first = y
+        elif y.labels is not None and first.labels != y.labels:
+            raise DimensionMismatchError("coordinate labels disagree")
+    return first.labels
 
 
 def v_add(x: FinVector, y: FinVector) -> FinVector:
@@ -83,46 +100,28 @@ def v_leq(x: FinVector, y: FinVector) -> bool:
     return all(a <= b for a, b in zip(x.coords, y.coords))
 
 
-def v_sup(xs: Iterable[FinVector], dim: Optional[int] = None) -> FinVector:
+def v_sup(xs: Iterable[FinVector]) -> FinVector:
     xs = list(xs)
-    if not xs:
-        if dim is None:
-            raise DimensionMismatchError("empty supremum needs an explicit dimension")
-        return zero_vector(dim)
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = v_add(acc, x)
-    return acc
+    labels = _join_labels(*xs)
+    return FinVector(tuple(map(big_sup, zip(*[x.coords for x in xs]))), labels)
 
 
-def v_inf(xs: Iterable[FinVector], dim: Optional[int] = None) -> FinVector:
+def v_inf(xs: Iterable[FinVector]) -> FinVector:
     xs = list(xs)
-    if not xs:
-        if dim is None:
-            raise DimensionMismatchError("empty infimum needs an explicit dimension")
-        return top_vector(dim)
-    # Check every vector against the first labeled one, so no two labelings can disagree.
-    first = next((x for x in xs if x.labels is not None), xs[0])
-    for x in xs:
-        _join_labels(first, x)
-    return FinVector(tuple(big_inf(x.coords[j] for x in xs) for j in range(first.dim)),
-                     first.labels)
+    labels = _join_labels(*xs)
+    return FinVector(tuple(map(big_inf, zip(*[x.coords for x in xs]))), labels)
 
 
 def span_sup(ks: Sequence[ExtendedScalar], generators: Sequence[FinVector],
              dim: int) -> FinVector:
-    """sup_g ks[g] * generators[g], with the refusals and labels of v_sup's fold of v_scale.
+    """sup_g ks[g] * generators[g]; the generators share one labeling by _join_labels.
 
-    The first labeling wins; the empty span gives the zero vector of dimension dim.
+    The empty span gives the zero vector of dimension dim.
     """
     if not generators:
         return zero_vector(dim)
-    first = generators[0]
-    for g in generators[1:]:
-        _join_labels(first, g)
-        if first.labels is None:
-            first = g
-    return FinVector(sup_of_products(ks, [g.coords for g in generators]), first.labels)
+    labels = _join_labels(*generators)
+    return FinVector(sup_of_products(ks, [g.coords for g in generators]), labels)
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,8 @@ class SpanBasis:
     @classmethod
     def of(cls, generators: Iterable[FinVector]) -> "SpanBasis":
         gens = [g for g in generators if not g.is_zero()]
-        dims = {g.dim for g in gens}
-        if len(dims) > 1:
-            raise DimensionMismatchError("generators have mixed dimensions")
+        if gens:
+            _join_labels(*gens)
         return cls(tuple(gens))
 
     @property

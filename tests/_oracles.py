@@ -2,10 +2,11 @@
 
 These deliberately avoid the closed forms under test: evaluation is checked by
 scanning a coefficient grid, the one-pass residual loops by composing the
-scalar residuals, the span kernel by composing s_mul, v_scale and v_sup,
-membership by enumerating integer coefficient combinations, scalar products
-by exhaustive max over the point set, and the order and graph-closure checks
-and the subset-law folds by scanning every subset.
+scalar residuals, the span kernel by composing s_mul, span combinations by
+folding v_add over v_scale, membership by enumerating integer coefficient
+combinations, scalar products by exhaustive max over the point set, and the
+order and graph-closure checks and the subset-law folds by scanning every
+subset.
 """
 
 from fractions import Fraction
@@ -46,8 +47,13 @@ def sup_of_products_oracle(ks, rows):
 
 
 def span_sup_oracle(ks, generators, dim):
-    """sup_g k_g * g composed as v_sup of v_scale, refusals and labels included."""
-    return mp.v_sup([mp.v_scale(k, g) for k, g in zip(ks, generators)], dim=dim)
+    """sup_g k_g * g folded pairwise by v_add over v_scale, refusals and labels included.
+
+    The fold checks labels only through the binary rule, so it stays independent
+    of the family rule that span_sup, v_sup and v_inf share.
+    """
+    scaled = [mp.v_scale(k, g) for k, g in zip(ks, generators)]
+    return reduce(mp.v_add, scaled) if scaled else mp.zero_vector(dim)
 
 
 def greatest_scaling(w, y, lo=-10, hi=10):
@@ -62,9 +68,7 @@ def span_member_oracle(y, generators, lo=-6, hi=6):
         return True
     coeffs = grid_scalars(lo, hi)
     for combo in product(coeffs, repeat=len(generators)):
-        combined = mp.v_sup([mp.v_scale(k, g) for k, g in zip(combo, generators)],
-                            dim=y.dim)
-        if combined.coords == y.coords:
+        if span_sup_oracle(combo, generators, y.dim).coords == y.coords:
             return True
     return False
 

@@ -230,7 +230,7 @@ def test_extension_carries_the_first_labeled_generators_labels():
 
 
 def extension_by_composition(generators, values, dim):
-    """extend_functional with the candidate composed as v_sup of v_scale."""
+    """extend_functional with the candidate composed as a v_add fold of v_scale."""
     x = span_sup_oracle([mp.s_div(mp.ONE, v) for v in values], generators, dim)
     if x.dim != dim:
         raise mp.DimensionMismatchError("generators do not live in the ambient dimension")
@@ -395,11 +395,11 @@ def test_labeling_map_is_a_linear():
     assert report.lines() == ["sup-preservation: PASS", "homogeneity: PASS"]
 
 
-def test_sup_preservation_joins_through_semimodules_v_add(monkeypatch):
+def test_sup_preservation_joins_through_functionals_v_add(monkeypatch):
     # a supremum that keeps its left operand must show up as a sup-preservation failure
     f = mp.FunctionalRep(mp.vector([0, 0]))
     assert mp.check_a_linear(f, [mp.vector([0, 1]), mp.vector([2, -1])]).all_passed
-    monkeypatch.setattr(mp.semimodules, "v_add", lambda a, b: a)
+    monkeypatch.setattr(mp.functionals, "v_add", lambda a, b: a)
     report = mp.check_a_linear(f, [mp.vector([0, 1]), mp.vector([2, -1])])
     assert not report.entry("sup-preservation").passed
 

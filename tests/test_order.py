@@ -125,6 +125,14 @@ def test_direct_construction_refuses_what_is_not_a_partial_order():
             FiniteIS(labels, frozenset(relation))
 
 
+def test_direct_construction_refuses_pairs_outside_the_elements():
+    # a pair past the end once raised IndexError; a negative one was read from the end
+    refl = {(0, 0), (1, 1)}
+    for extra in ({(0, 2)}, {(2, 0)}, {(-1, -1)}, {(0, -1), (-1, -1)}):
+        with pytest.raises(mp.PosetError, match="relation pair outside the element indices"):
+            FiniteIS(("a", "b"), frozenset(refl | extra))
+
+
 def test_completion_bottom_below_everything():
     for s in all_small_posets(3):
         lattice = mp.dm_completion(s).completed

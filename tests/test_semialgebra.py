@@ -165,3 +165,11 @@ def test_integral_against_weight():
 def test_unlabeled_vectors_rejected():
     with pytest.raises(ValueError):
         sa.AlgebraElement(mp.vector([1, 2]))
+
+
+def test_riesz_refuses_repeated_labels():
+    # the hidden (1, 5) on labels a a once came back as (5, 5)
+    hidden = (mp.finite(1), mp.finite(5))
+    f = lambda y: mp.big_sup(mp.s_mul(a, b) for a, b in zip(y.vec.coords, hidden))
+    with pytest.raises(mp.DimensionMismatchError, match="duplicate coordinate labels"):
+        sa.riesz_representer(f, ["a", "a"])

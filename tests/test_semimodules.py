@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.report import MAX_SUBSET_ITEMS
-from maxplus.semimodules import _join_labels
+from maxplus.semimodules import _join_labels, span_sup
 from _oracles import greatest_scaling, inf_div_dual_oracle, span_member_oracle, span_sup_oracle
 
 finites = st.integers(min_value=-10, max_value=10).map(mp.finite)
@@ -38,11 +39,13 @@ def test_dimension_mismatch():
 
 
 def test_v_sup_v_inf():
-    assert mp.v_sup([], dim=2) == mp.zero_vector(2)
+    with pytest.raises(mp.DimensionMismatchError, match="empty family"):
+        mp.v_sup([])
     xs = [mp.vector([1, 0]), mp.vector([0, 2])]
     assert mp.v_sup(xs) == mp.vector([1, 2])
     assert mp.v_inf(xs) == mp.vector([0, 0])
-    assert mp.v_inf([], dim=2) == mp.top_vector(2)
+    with pytest.raises(mp.DimensionMismatchError, match="empty family"):
+        mp.v_inf([])
 
 
 @given(vectors(3), vectors(3), vectors(3))
@@ -137,7 +140,7 @@ def test_projection_refuses_generators_whose_labels_disagree():
 
 
 def projection_by_composition(y, generators):
-    """project_onto_span as v_sup of v_scale, each generator checked against y first."""
+    """project_onto_span as a v_add fold of v_scale, each generator checked against y first."""
     for g in generators:
         _join_labels(g, y)
     ks = [inf_div_dual_oracle(y.coords, g.coords) for g in generators]
@@ -287,3 +290,32 @@ def test_v_inf_checks_every_labeling():
     with pytest.raises(mp.DimensionMismatchError, match="labels disagree"):
         mp.v_inf([mp.vector([0, 0]), mp.vector([1, 2], labels=["a", "b"]), cd])
     assert mp.v_inf([mp.vector([0, 9]), cd]).labels == ("c", "d")
+
+
+# Dims 2 and 3 with labels none, a b c or c b a (cut to the dim), so families
+# reach every refusal: a dimension mismatch either way round, and two labelings.
+family_vectors = st.tuples(st.lists(scalars, min_size=3, max_size=3), st.booleans(),
+                           st.sampled_from([None, ("a", "b", "c"), ("c", "b", "a")])).map(
+    lambda t: mp.FinVector(tuple(t[0][:2 + t[1]]), t[2] and t[2][:2 + t[1]]))
+
+
+@given(st.lists(family_vectors, min_size=1, max_size=5))
+def test_every_vector_family_joins_by_the_binary_rule(xs):
+    want = outcome(reduce, mp.v_add, xs)
+    assert outcome(mp.v_sup, xs) == want  # FinVector equality compares the labels too
+    assert outcome(span_sup, [mp.ONE] * len(xs), xs, 3) == want
+    inf = outcome(mp.v_inf, xs)
+    assert (inf.labels == want.labels) if isinstance(want, mp.FinVector) else (inf == want)
+    nonzero = [x for x in xs if not x.is_zero()]
+    refusal = outcome(reduce, mp.v_add, nonzero) if nonzero else None
+    assert outcome(mp.SpanBasis.of, xs) == (
+        refusal if isinstance(refusal, tuple) else mp.SpanBasis(tuple(nonzero)))
+
+
+def test_labels_are_stored_as_a_tuple_and_never_repeat():
+    assert mp.FinVector((mp.ONE,), ["a"]) == mp.vector([0], ["a"])
+    assert hash(mp.FinVector((mp.ONE,), ["a"])) == hash(mp.vector([0], ("a",)))
+    for build in (lambda: mp.FinVector((mp.ONE, mp.ONE), ["a", "a"]),
+                  lambda: mp.vector([0, 1], ("a", "a")), lambda: mp.zero_vector(2, ["b", "b"])):
+        with pytest.raises(mp.DimensionMismatchError, match="duplicate coordinate labels"):
+            build()
