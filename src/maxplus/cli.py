@@ -146,7 +146,8 @@ def cmd_prop4(args) -> int:
 
 def cmd_complete(args) -> int:
     s = formats.parse_poset(_read(args.poset))
-    result = args.completion(s)
+    # b-complete too: order.b_completion is dm_completion
+    result = order.dm_completion(s)
     sys.stdout.write(formats.format_poset(result.completed))
     for src in s.elements:
         print(f"# embed {src} -> {result.embedding[src]}")
@@ -236,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dm-complete", help="normal completion by cuts")
     p.add_argument("--poset", required=True)
-    p.set_defaults(run=cmd_complete, completion=order.dm_completion)
+    p.set_defaults(run=cmd_complete)
 
     p = sub.add_parser("b-complete", help="bounded completion")
     p.add_argument("--poset", required=True)
-    p.set_defaults(run=cmd_complete, completion=order.b_completion)
+    p.set_defaults(run=cmd_complete)
 
     p = sub.add_parser("check-axioms", help="semiring axiom suite")
     p.add_argument("--semiring", choices=["boolean", "maxplus"], required=True)

@@ -78,17 +78,17 @@ def extend_functional(w, values: Sequence[ExtendedScalar],
                       ambient_dim: int) -> FunctionalRep:
     """Extend a functional prescribed on span generators to the whole space.
 
-    The candidate representer is the supremum of the generators scaled by the
-    inverted prescribed values: the least representer compatible with the
-    prescription.  If even this candidate fails to restrict to the prescribed
-    values, no a-linear functional does, and the offending generator index is
-    reported.
+    The candidate representer is span_sup at the prescribed values, the
+    supremum of the generators scaled by their conjugates: the least
+    representer compatible with the prescription.  If even this candidate
+    fails to restrict to the prescribed values, no a-linear functional does,
+    and the offending generator index is reported.
     """
     generators = list(w.generators)
     values = list(values)
     if len(values) != len(generators):
         raise ValueError("one prescribed value per generator is required")
-    x = span_sup([s_conj(v) for v in values], generators, ambient_dim)
+    x = span_sup(values, generators, ambient_dim)
     if x.dim != ambient_dim:
         raise DimensionMismatchError("generators do not live in the ambient dimension")
     for i, (g, v) in enumerate(zip(generators, values)):

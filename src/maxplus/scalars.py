@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .report import CheckReport, fold_failures, refuse_past_subset_bound
 
@@ -67,16 +67,35 @@ BOTTOM = ExtendedScalar(_BOT)
 TOP = ExtendedScalar(_TOP)
 
 
-def finite(value) -> ExtendedScalar:
-    """Wrap an int, Fraction, or numeric string as a finite scalar.
+# Python will not print an int of more than 4300 digits (its default
+# int_max_str_digits), so a literal whose value would need more is refused.
+MAX_LITERAL_DIGITS = 4300
 
-    Integral values are stored as int, so the common integer arithmetic skips
-    Fraction entirely.
+
+def finite(value) -> ExtendedScalar:
+    """Wrap an int (not a bool), a Fraction or a numeric str as a finite scalar.
+
+    Any other type, float included, raises TypeError.  A literal needing more
+    than MAX_LITERAL_DIGITS digits is refused from its text, before Fraction
+    builds any power of ten.  Integral values are stored as int.
     """
-    if type(value) is int:
+    kind = type(value)
+    if kind is int:
         return ExtendedScalar(_FIN, value)
-    q = value if type(value) is Fraction else Fraction(value)
-    return ExtendedScalar(_FIN, q.numerator if q.denominator == 1 else q)
+    if kind is str:
+        # Only an exponent or an overlong literal can exceed the bound; int() bounds p/q.
+        if ("e" in value or "E" in value
+                or len(value) > MAX_LITERAL_DIGITS) and "/" not in value:
+            mantissa, _, exp = value.lower().partition("e")
+            # shift = exponent - fraction digits; the denominator has 1 - shift digits
+            shift = int(exp or 0) - sum(c.isdigit() for c in mantissa.partition(".")[2])
+            digits = sum(c.isdigit() for c in mantissa)
+            if max(digits + max(shift, 0), 1 - shift) > MAX_LITERAL_DIGITS:
+                raise ValueError("literal has too many digits")
+        value = Fraction(value)
+    elif kind is not Fraction:
+        raise TypeError(f"a finite scalar is an int, a Fraction or a str, not {kind.__name__}")
+    return ExtendedScalar(_FIN, value.numerator if value.denominator == 1 else value)
 
 
 ZERO = BOTTOM          # the semiring zero, -inf
@@ -137,10 +156,11 @@ def s_div_dual(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
 def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> ExtendedScalar:
     """big_sup(s_div(y, x) for y, x in zip(ys, xs) if not y.is_bottom()), in one pass.
 
-    A finite pair adds its raw difference to a running max; a pair holding an
-    infinity goes through s_div, and +inf stops the read as in big_sup.  Its
-    conjugate s_conj(sup_div(gs, ys)) is big_inf(s_div_dual(y, g)), the greatest
-    k with k*g <= y.
+    The one loop over scalar pairs.  A finite pair adds its raw difference to a
+    running max; a pair holding an infinity goes through s_div, and +inf stops
+    the read as in big_sup.  As s_div(g, v) = s_mul(g, s_conj(v)), it reads a
+    span_sup column as well as star_eval.  Its conjugate s_conj(sup_div(gs, ys))
+    is big_inf(s_div_dual(y, g)), the greatest k with k*g <= y.
     """
     best = None
     for y, x in zip(ys, xs):
@@ -155,30 +175,10 @@ def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> Exten
             continue  # the other residual of an infinite pair is -inf, the empty sup
         if best is None or d > best:
             best = d
-    return BOTTOM if best is None else finite(best)
-
-
-def sup_of_products(ks: Sequence[ExtendedScalar],
-                    rows: Sequence[Sequence[ExtendedScalar]]) -> Tuple[ExtendedScalar, ...]:
-    """The coordinates of sup_g ks[g] * rows[g], read one column at a time.
-
-    A finite pair adds its raw values into a running max; a pair holding an infinity
-    goes through s_mul, whose +inf ends the column.  zip truncates: rows need one length.
-    """
-    out = []
-    for column in zip(*rows):
-        best = None
-        for k, c in zip(ks, column):
-            if k.kind == _FIN and c.kind == _FIN:
-                p = k.q + c.q
-                if best is None or p > best:
-                    best = p
-            elif s_mul(k, c).kind == _TOP:  # else the product is -inf, the empty sup
-                out.append(TOP)
-                break
-        else:
-            out.append(BOTTOM if best is None else finite(best))
-    return tuple(out)
+    if best is None:
+        return BOTTOM
+    # as in s_mul, an int skips finite's call: span_sup makes one sup_div call per column
+    return ExtendedScalar(_FIN, best) if type(best) is int else finite(best)
 
 
 def big_sup(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:
@@ -203,31 +203,17 @@ def big_inf(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:
     return best
 
 
-# Python will not print an int of more than 4300 digits (its default
-# int_max_str_digits), so a literal whose value would need more is refused.
-MAX_LITERAL_DIGITS = 4300
-
-
 def parse_scalar(token: str) -> ExtendedScalar:
     """Parse the scalar text syntax: -inf, +inf, or an exact decimal/rational literal.
 
-    A literal whose value would need more than MAX_LITERAL_DIGITS digits is
-    refused from its text, before Fraction builds any power of ten.
+    A literal is read by finite, which refuses one whose value would need more
+    than MAX_LITERAL_DIGITS digits.
     """
     if token == "-inf":
         return BOTTOM
     if token == "+inf":
         return TOP
     try:
-        # Only an exponent or an overlong token can exceed the bound; int() bounds p/q.
-        if ("e" in token or "E" in token
-                or len(token) > MAX_LITERAL_DIGITS) and "/" not in token:
-            mantissa, _, exp = token.lower().partition("e")
-            # shift = exponent - fraction digits; the denominator has 1 - shift digits
-            shift = int(exp or 0) - sum(c.isdigit() for c in mantissa.partition(".")[2])
-            digits = sum(c.isdigit() for c in mantissa)
-            if max(digits + max(shift, 0), 1 - shift) > MAX_LITERAL_DIGITS:
-                raise ValueError("literal has too many digits")
         return finite(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar token {token!r}") from exc

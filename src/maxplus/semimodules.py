@@ -7,11 +7,12 @@ module operations are coordinatewise and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .report import CheckReport, fold_failures, refuse_past_subset_bound
 from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, _scalar_text, big_inf, big_sup,
-                      finite, s_add, s_conj, s_mul, sup_div, sup_of_products)
+                      finite, s_add, s_mul, sup_div)
 
 
 class DimensionMismatchError(ValueError):
@@ -24,6 +25,8 @@ class FinVector:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
+        if type(self.coords) is not tuple:
+            object.__setattr__(self, "coords", tuple(self.coords))
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != len(self.coords):
@@ -112,16 +115,23 @@ def v_inf(xs: Iterable[FinVector]) -> FinVector:
     return FinVector(tuple(map(big_inf, zip(*[x.coords for x in xs]))), labels)
 
 
-def span_sup(ks: Sequence[ExtendedScalar], generators: Sequence[FinVector],
+def span_sup(values: Sequence[ExtendedScalar], generators: Sequence[FinVector],
              dim: int) -> FinVector:
-    """sup_g ks[g] * generators[g]; the generators share one labeling by _join_labels.
+    """sup_g s_conj(values[g]) * generators[g]: the span combination at functional values.
 
+    The generators share one labeling by _join_labels.  A +inf value scales its
+    generator by -inf, so that generator is dropped; coordinate i is then
+    scalars.sup_div(column i, values), as s_div(g_i, v) = s_mul(g_i, s_conj(v)).
     The empty span gives the zero vector of dimension dim.
     """
     if not generators:
         return zero_vector(dim)
     labels = _join_labels(*generators)
-    return FinVector(sup_of_products(ks, [g.coords for g in generators]), labels)
+    kept = [(g.coords, v) for g, v in zip(generators, values) if not v.is_top()]
+    if not kept:
+        return zero_vector(generators[0].dim, labels)
+    rows, values = zip(*kept)
+    return FinVector(tuple(map(sup_div, zip(*rows), repeat(values))), labels)
 
 
 @dataclass(frozen=True)
@@ -145,16 +155,16 @@ class SpanBasis:
 def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     """Residuated projection of y onto the span of w.
 
-    For each generator g the greatest admissible coefficient is the meet of the
-    coordinatewise residuals, the conjugate of scalars.sup_div(g, y); the
-    projection is the supremum of the scaled generators, built by span_sup, and
-    is always below y.  ``member`` reports whether y itself is in the span.
+    Each generator g is scaled by its greatest admissible coefficient, the
+    conjugate of y's functional value star_eval(y, g) = sup_div(g, y); so the
+    projection is span_sup at those values, and is always below y.  ``member``
+    reports whether y itself is in the span.
     """
-    ks = []
+    values = []
     for g in w.generators:
         _join_labels(g, y)
-        ks.append(s_conj(sup_div(g.coords, y.coords)))
-    projection = FinVector(span_sup(ks, w.generators, y.dim).coords, y.labels)
+        values.append(sup_div(g.coords, y.coords))
+    projection = FinVector(span_sup(values, w.generators, y.dim).coords, y.labels)
     return projection, projection.coords == y.coords
 
 

@@ -147,6 +147,31 @@ def test_overlong_literal_is_a_parse_error(files, capsys):
     assert "line 1, column 1: bad scalar token '1e5000'" in err
 
 
+# Input files of the wrong shape: argv and the exact stderr, with {0}, {1} the files.
+EVAL_STAR = ["eval-star", "--x", "{0}", "--y", "{1}"]
+SHAPE_REFUSALS = [
+    (EVAL_STAR, ("0 0\n1 1\n", "0 0\n"), "{0}: expected exactly one vector, found 2"),
+    (["scalar-product", "--f1", "{0}", "--f2", "{1}"],
+     ("# labels: a b\n0 0\n1 1\n", "# labels: a b\n0 0\n"),
+     "{0}: expected exactly one function, found 2"),
+    (["check-graph", "--inputs", "{0}", "--outputs", "{1}"], ("0\n1\n", "0\n"),
+     "2 inputs but 1 outputs"),
+    (EVAL_STAR, ("# labels:\n0\n", "0\n"), "line 1: labels header names no coordinates"),
+    (EVAL_STAR, ("# labels: a a\n0 0\n", "0 0\n"), "line 1: duplicate coordinate labels"),
+    (EVAL_STAR, ("0 0\n# labels: a b\n", "0 0\n"),
+     "line 2: labels header must precede the vectors"),
+    (["recover", "--functional", "{0}"], ("# functional-representer dim=2\n0 0\n1 1\n",),
+     "line 1: functional files contain exactly one representer line"),
+]
+
+
+@pytest.mark.parametrize("argv, texts, message", SHAPE_REFUSALS)
+def test_misshapen_input_file_exits_2(files, capsys, argv, texts, message):
+    paths = [files(f"in{i}", text) for i, text in enumerate(texts)]
+    code, out, err = run_cli([arg.format(*paths) for arg in argv], capsys)
+    assert (code, out, err) == (2, "", "error: " + message.format(*paths) + "\n")
+
+
 def test_separate(files, capsys):
     x = files("x.vec", "0 0\n")
     y = files("y.vec", "1 0\n")

@@ -229,6 +229,17 @@ def test_extension_carries_the_first_labeled_generators_labels():
     assert f.representer == mp.vector([0, 0], labels=["a", "b"])
 
 
+def test_functional_constructions_refuse_missing_inputs():
+    with pytest.raises(ValueError, match="one prescribed value per generator is required"):
+        mp.extend_functional(mp.SpanBasis.of([mp.vector([0, 1])]), [], 2)
+    with pytest.raises(ValueError, match="pointwise supremum needs at least one functional"):
+        mp.pointwise_sup([])
+    with pytest.raises(ValueError, match="need at least one test vector"):
+        mp.check_a_linear(mp.FunctionalRep(mp.vector([0])), [])
+    with pytest.raises(ValueError, match="empty graph sample"):
+        mp.graph_sup_closed(LinearMapSample(()))
+
+
 def extension_by_composition(generators, values, dim):
     """extend_functional with the candidate composed as a v_add fold of v_scale."""
     x = span_sup_oracle([mp.s_div(mp.ONE, v) for v in values], generators, dim)

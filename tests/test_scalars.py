@@ -1,4 +1,5 @@
 import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.report import MAX_SUBSET_ITEMS
-from maxplus.scalars import sup_div, sup_of_products
+from maxplus.scalars import sup_div
+from maxplus.semimodules import span_sup
 from _oracles import (greatest_scaling, inf_div_dual_oracle, star_oracle, sup_div_oracle,
                       sup_of_products_oracle)
 
@@ -184,6 +186,24 @@ def test_parse_scalar_refuses_huge_exponent_without_expanding_it():
         mp.parse_scalar("1e999999999")
 
 
+def test_finite_bounds_literal_digits_as_parse_scalar_does():
+    for token in ("1e5000", "1e-4300", "1e999999999"):
+        with pytest.raises(ValueError, match="literal has too many digits"):
+            mp.finite(token)
+        with pytest.raises(ValueError, match="literal has too many digits"):
+            mp.vector([0, token])
+    assert mp.finite("1e4000") == mp.parse_scalar("1e4000") == mp.finite(10 ** 4000)
+
+
+def test_finite_refuses_every_type_but_int_fraction_and_str():
+    for value in (0.5, float("inf"), True, False, Decimal("0.1"), None):
+        with pytest.raises(TypeError, match="an int, a Fraction or a str"):
+            mp.finite(value)
+    with pytest.raises(TypeError):
+        mp.vector([0.5, 1])
+    assert mp.finite(Fraction(3, 1)).q == 3 and mp.finite("-5/10").q == Fraction(-1, 2)
+
+
 # --- residuals ---------------------------------------------------------------
 
 _TABLE_SAMPLE = ["-inf", "-1", "0", "2", "+inf"]
@@ -239,7 +259,8 @@ def test_integral_values_are_stored_as_int():
     for result in (mp.s_mul(half, half), mp.s_div(half, half), mp.s_div(half, minus_half),
                    sup_div([half], [minus_half]),
                    mp.s_conj(sup_div([half, mp.ONE], [half, mp.TOP])),
-                   sup_of_products([half, mp.BOTTOM], [[half], [mp.TOP]])[0]):
+                   span_sup([minus_half, mp.TOP], [mp.vector([half]), mp.vector([mp.TOP])],
+                            1).coords[0]):
         assert type(result.q) is int, result
     assert mp.finite(1) < mp.finite(Fraction(3, 2)) <= mp.finite(Fraction(3, 2))
 
@@ -300,7 +321,10 @@ scaled_rows = st.integers(min_value=0, max_value=6).flatmap(lambda d: st.lists(
 
 
 @given(scaled_rows)
-def test_sup_of_products_matches_its_composition(pairs):
+def test_span_columns_match_their_composition(pairs):
+    # span_sup takes the values whose conjugates are the coefficients
     ks, rows = [p[0] for p in pairs], [p[1] for p in pairs]
-    got, want = sup_of_products(ks, rows), sup_of_products_oracle(ks, rows)
+    values, generators = [mp.s_conj(k) for k in ks], [mp.FinVector(tuple(r)) for r in rows]
+    got = span_sup(values, generators, len(rows[0]) if rows else 0).coords
+    want = sup_of_products_oracle(ks, rows)
     assert len(got) == len(want) and all(map(same_scalar, got, want))

@@ -179,6 +179,54 @@ def test_projection_matches_its_composition(y, generators):
         assert q_types(got[0]) == q_types(want[0])
 
 
+def test_span_drops_generators_whose_value_is_top():
+    # a +inf value scales its generator by -inf; when all are dropped, the labeled zero
+    ab = mp.vector([0, 1], labels=["a", "b"])
+    assert span_sup([mp.TOP, mp.TOP], [mp.vector([2, mp.TOP]), ab], 5) == mp.zero_vector(
+        2, ["a", "b"])
+    assert span_sup([mp.TOP, mp.ONE], [mp.vector([9, mp.TOP]), ab], 2) == ab
+
+
+def test_span_joins_labels_before_dropping_generators():
+    tops = [mp.TOP, mp.TOP]
+    with pytest.raises(mp.DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
+        span_sup(tops, [mp.vector([0, 1]), mp.vector([0, 1, 2])], 3)
+    with pytest.raises(mp.DimensionMismatchError, match="coordinate labels disagree"):
+        span_sup(tops, [mp.vector([0, 1], ["a", "b"]), mp.vector([0, 1], ["b", "a"])], 2)
+
+
+# Generators finite at coordinate 0, and any scalar at coordinates 1 and 2.
+finite_first = st.tuples(st.one_of(finites, st.fractions(-6, 6, max_denominator=2).map(
+    mp.finite)), projection_scalars, projection_scalars).map(mp.FinVector)
+
+
+@given(st.lists(finite_first, min_size=1, max_size=4),
+       st.tuples(projection_scalars, projection_scalars), labelings)
+def test_projection_of_a_target_at_bottom_where_every_generator_is_finite(
+        generators, rest, labels):
+    # every generator's value is +inf there, so span_sup drops them all
+    y = mp.FinVector((mp.BOTTOM,) + rest, labels)
+    got = mp.project_onto_span(y, mp.SpanBasis(tuple(generators)))
+    assert got == projection_by_composition(y, generators)
+    assert got == (mp.zero_vector(3, labels), y.is_zero())
+
+
+def test_coordinates_are_stored_as_a_tuple():
+    listed = mp.FinVector([mp.ONE, mp.TOP])
+    assert type(listed.coords) is tuple
+    assert listed == mp.vector([0, mp.TOP]) and hash(listed) == hash(mp.vector([0, mp.TOP]))
+
+
+def test_vector_construction_refusals():
+    with pytest.raises(mp.DimensionMismatchError, match="label count does not match dimension"):
+        mp.FinVector((mp.ONE,), ("a", "b"))
+    for i in (-1, 3):
+        with pytest.raises(IndexError, match=f"unit vector {i} of dimension 3"):
+            mp.unit_vector(i, 3)
+    with pytest.raises(ValueError, match="need at least one sample vector"):
+        mp.check_b_space_axioms([], [mp.ONE])
+
+
 def test_projection_is_a_closure_dual():
     rng = random.Random(7)
     basis = mp.SpanBasis.of([mp.vector([rng.randint(-5, 5) for _ in range(3)])
