@@ -43,9 +43,7 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
 
 # Faults and commands whose output is meant to change against the tree compared to,
 # each listed with the reason; empty when the two trees must agree everywhere.
-# - dm-complete-internal-fault: the traceback quotes cmd_complete's call line, which
-#   names order.dm_completion where it read the parser's completion default.
-INTENDED = {"dm-complete-internal-fault"}
+INTENDED = set()
 
 # Each fault is Python source run in the child before the selftest; it may
 # refer to the modules st (selftest), sa (semialgebra), sm (semimodules), od (order).

@@ -137,12 +137,13 @@ def check_a_linear(map_fn: VectorMap,
                    scalars: Sequence[ExtendedScalar] = ()) -> CheckReport:
     """Check sup-preservation over every subset of the test vectors, plus homogeneity.
 
-    Subsets are folded by report.fold_failures, so map_fn runs once per test
-    vector and once per subset.  Scalar homogeneity k * p(x) = p(k * x) is
-    checked for the supplied scalars except +inf (the evaluation functionals
-    are not +inf-homogeneous, matching the scalar-side caveat in the
-    degenerate conventions).  More than report.MAX_SUBSET_ITEMS test vectors are
-    refused before map_fn is called.
+    Subsets are folded by report.fold_failures, so map_fn runs once on the zero
+    vector, once per test vector and once per distinct pair (join of a subset,
+    join of its images), not once per subset.  Scalar homogeneity
+    k * p(x) = p(k * x) is checked for the supplied scalars except +inf (the
+    evaluation functionals are not +inf-homogeneous, matching the scalar-side
+    caveat in the degenerate conventions).  More than report.MAX_SUBSET_ITEMS
+    test vectors are refused before map_fn is called.
     """
     test_vectors = list(test_vectors)
     if not test_vectors:

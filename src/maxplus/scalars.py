@@ -311,7 +311,9 @@ def check_semiring_axioms(d: SemiringDescriptor,
     """Check every semiring axiom on a sample (the full carrier when finite).
 
     Failures are recorded with a witness tuple, not raised.  The generalized
-    laws fold subsets with report.fold_failures, so 2**n folds per k.  More than
+    laws close over fold states with report.fold_failures, so mul runs per k
+    once per distinct state, not per subset; while a law holds, a state is
+    fixed by its fold, and a totally ordered sample has at most n.  More than
     report.MAX_SUBSET_ITEMS sample values are refused before any law runs.
     """
     if sample is None:

@@ -175,10 +175,13 @@ def check_b_space_axioms(samples: Sequence[FinVector],
     The meet law (inf Q) * x = inf (Q * x) is checked over every nonempty
     subset Q of the scalars and every sample vector except the all-top one,
     which the law explicitly exempts.  Subsets are folded by
-    report.fold_failures.  The two scalar-subset laws loop over the vectors
-    outside and the subsets inside; as they hold on every valid input, that
-    order shows only in the witness of a broken operation.  More than
-    report.MAX_SUBSET_ITEMS scalars or samples are refused before any law runs.
+    report.fold_failures, which scales once per distinct fold state, not once
+    per subset; while a law holds, a state is fixed by its fold, so the
+    scalar-subset laws meet at most n states per vector.  The two scalar-subset
+    laws loop over the vectors outside and the subsets inside; as they hold on
+    every valid input, that order shows only in the witness of a broken
+    operation.  More than report.MAX_SUBSET_ITEMS scalars or samples are
+    refused before any law runs.
     """
     samples = list(samples)
     scalars = list(scalars)

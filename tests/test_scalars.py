@@ -129,6 +129,19 @@ def test_semiring_axioms_refuse_more_values_than_the_subset_bound():
     assert calls == []  # no law runs before the refusal
 
 
+def test_generalized_laws_fold_states_not_subsets_at_the_bound():
+    calls = []
+    d = dataclasses.replace(mp.extended_maxplus(),
+                            mul=lambda a, b: calls.append(a) or mp.s_mul(a, b))
+    n = MAX_SUBSET_ITEMS
+    sample = [mp.BOTTOM, mp.TOP] + [mp.finite(k) for k in range(n - 2)]
+    assert mp.check_semiring_axioms(d, sample).all_passed
+    # the pair and triple laws make 10 n^3 + 4 n calls; each generalized law maps
+    # the empty fold, each value and each of the n folds of a chain once per k,
+    # where folding every subset made n + 2**n calls per k
+    assert len(calls) - (10 * n ** 3 + 4 * n) <= 2 * n * (2 * n + 1)
+
+
 def test_broken_descriptor_reports_witness():
     # idempotent addition, but min disagrees with the max-order zero
     broken = mp.SemiringDescriptor(
