@@ -9,7 +9,7 @@ import re
 from typing import List, Optional, Tuple
 
 from .order import COMPLETION_MAX_CUTS, FiniteIS
-from .scalars import ExtendedScalar, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .semimodules import FinVector
 from .semialgebra import AlgebraElement
 from .functionals import FunctionalRep
@@ -23,23 +23,20 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _parse_scalar_at(token: str, lineno: int, column: int) -> ExtendedScalar:
-    try:
-        return parse_scalar(token)
-    except ValueError:
-        raise ParseError(f"bad scalar token {token!r}", lineno, column) from None
-
-
-def _split_with_columns(line: str) -> List[Tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
-
-
 def parse_vector_line(line: str, lineno: int = 1,
                       labels: Optional[Tuple[str, ...]] = None) -> FinVector:
-    tokens = _split_with_columns(line)
+    tokens = line.split()
     if not tokens:
         raise ParseError("empty vector line", lineno)
-    coords = tuple(_parse_scalar_at(tok, lineno, col) for tok, col in tokens)
+    try:
+        coords = tuple(map(parse_scalar, tokens))
+    except ValueError:
+        for m in re.finditer(r"\S+", line):  # columns are found only to report the first bad token
+            try:
+                parse_scalar(m.group())
+            except ValueError:
+                raise ParseError(f"bad scalar token {m.group()!r}", lineno, m.start() + 1) from None
+        raise
     if labels is not None and len(labels) != len(coords):
         raise ParseError(f"expected {len(labels)} coordinates, got {len(coords)}", lineno)
     return FinVector(coords, labels)

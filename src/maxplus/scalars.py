@@ -8,6 +8,7 @@ distributivity are equalities, not float approximations.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -71,28 +72,46 @@ TOP = ExtendedScalar(_TOP)
 # int_max_str_digits), so a literal whose value would need more is refused.
 MAX_LITERAL_DIGITS = 4300
 
+# The literal grammar finite's docstring states.  Groups: sign, whole, denominator,
+# fraction, exponent; the lookahead puts a digit on one side of the point.
+_LITERAL = re.compile(r"([-+]?)(?=\.?[0-9])([0-9]*)"
+                      r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)")
+
 
 def finite(value) -> ExtendedScalar:
-    """Wrap an int (not a bool), a Fraction or a numeric str as a finite scalar.
+    """Wrap an int (not a bool), a Fraction or a str literal as a finite scalar.
 
-    Any other type, float included, raises TypeError.  A literal needing more
-    than MAX_LITERAL_DIGITS digits is refused from its text, before Fraction
-    builds any power of ten.  Integral values are stored as int.
+    A str must match the literal grammar in full: an optional sign, then either
+    ``p/q`` or ``digits[.digits][(e|E)[sign]digits]``, where digits are ASCII
+    0-9 and a point needs a digit on at least one side (``.5``, ``5.``).  So
+    ``3``, ``-2.5``, ``7/3`` and ``1e-3`` are literals, while whitespace
+    anywhere (``" 3"``, ``"3 / 4"``), underscores (``1_000``) and non-ASCII
+    digits are not, and raise ValueError naming the token.  A literal needing
+    more than MAX_LITERAL_DIGITS digits is refused from its digit counts,
+    before any power of ten is built.  Any other type, float included, raises
+    TypeError.  Integral values are stored as int.
     """
     kind = type(value)
     if kind is int:
         return ExtendedScalar(_FIN, value)
     if kind is str:
-        # Only an exponent or an overlong literal can exceed the bound; int() bounds p/q.
-        if ("e" in value or "E" in value
-                or len(value) > MAX_LITERAL_DIGITS) and "/" not in value:
-            mantissa, _, exp = value.lower().partition("e")
-            # shift = exponent - fraction digits; the denominator has 1 - shift digits
-            shift = int(exp or 0) - sum(c.isdigit() for c in mantissa.partition(".")[2])
-            digits = sum(c.isdigit() for c in mantissa)
-            if max(digits + max(shift, 0), 1 - shift) > MAX_LITERAL_DIGITS:
+        m = _LITERAL.fullmatch(value)
+        if m is None:
+            raise ValueError(f"not a scalar literal: {value!r}")
+        if m.lastindex == 2 and len(value) <= MAX_LITERAL_DIGITS:  # a sign and digits alone
+            return ExtendedScalar(_FIN, int(value))
+        sign, whole, den, frac, exp = m.groups()
+        if den is not None:
+            value = Fraction(int(sign + whole), int(den))  # int() bounds p and q
+        else:
+            frac = frac or ""
+            # value = n * 10**shift; a negative shift gives a denominator of 1 - shift digits
+            shift = int(exp or 0) - len(frac)
+            if max(len(whole) + len(frac) + max(shift, 0), 1 - shift) > MAX_LITERAL_DIGITS:
                 raise ValueError("literal has too many digits")
-        value = Fraction(value)
+            if shift >= 0:
+                return ExtendedScalar(_FIN, int(sign + whole + frac) * 10 ** shift)
+            value = Fraction(int(sign + whole + frac), 10 ** -shift)
     elif kind is not Fraction:
         raise TypeError(f"a finite scalar is an int, a Fraction or a str, not {kind.__name__}")
     return ExtendedScalar(_FIN, value.numerator if value.denominator == 1 else value)
@@ -204,10 +223,11 @@ def big_inf(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:
 
 
 def parse_scalar(token: str) -> ExtendedScalar:
-    """Parse the scalar text syntax: -inf, +inf, or an exact decimal/rational literal.
+    """Parse the scalar text syntax: -inf, +inf, or a literal in finite's grammar.
 
-    A literal is read by finite, which refuses one whose value would need more
-    than MAX_LITERAL_DIGITS digits.
+    A token outside the grammar, one whose value would need more than
+    MAX_LITERAL_DIGITS digits, or a zero denominator raises ValueError
+    "bad scalar token".
     """
     if token == "-inf":
         return BOTTOM

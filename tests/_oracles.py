@@ -6,7 +6,7 @@ scalar residuals, the span kernel by composing s_mul, span combinations by
 folding v_add over v_scale, membership by enumerating integer coefficient
 combinations, scalar products by exhaustive max over the point set, and the
 order and graph-closure checks and the subset-law folds by scanning every
-subset.
+subset, and scalar literals by Fraction's own string parser.
 """
 
 from fractions import Fraction
@@ -18,6 +18,20 @@ import maxplus as mp
 
 def grid_scalars(lo=-20, hi=20):
     return [mp.BOTTOM] + [mp.finite(k) for k in range(lo, hi + 1)] + [mp.TOP]
+
+
+def literal_oracle(token):
+    """The value of a scalar literal as Fraction's string parser reads it, int when
+    integral; None for a token Fraction refuses or that holds a non-ASCII
+    character, an underscore or whitespace, which Fraction reads and the
+    scalar grammar does not."""
+    if not token.isascii() or "_" in token or any(c.isspace() for c in token):
+        return None
+    try:
+        q = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return q.numerator if q.denominator == 1 else q
 
 
 def star_oracle(x, y, lo=-20, hi=20):

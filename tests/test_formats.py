@@ -20,10 +20,21 @@ def test_vector_round_trip():
 
 
 def test_parse_error_reports_position():
-    with pytest.raises(formats.ParseError) as err:
-        formats.parse_vectors("1 oops 3\n")
-    assert err.value.line == 1
-    assert err.value.column == 3
+    cases = [
+        ("1 oops 3\n", 1, 3, "oops"),
+        # several bad tokens on one line: the first is reported
+        ("0  1_000 oops \u0663 1/0\n", 1, 4, "1_000"),
+        ("-inf +inf\t1e5000  2/0\n", 1, 11, "1e5000"),
+        # the last of 64 tokens
+        (" ".join(["1/2"] * 63 + ["7/0"]) + "\n", 1, 253, "7/0"),
+        # the second vector line of a file, after a header, a comment and a blank line
+        ("# labels: a b c\n1 2 3\n# note\n\n4 5 .\n", 5, 5, "."),
+    ]
+    for text, line, column, token in cases:
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_vectors(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, column {column}: bad scalar token {token!r}"
 
 
 def test_labels_must_match_dimension():

@@ -1,17 +1,18 @@
 import dataclasses
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.report import MAX_SUBSET_ITEMS
 from maxplus.scalars import sup_div
 from maxplus.semimodules import span_sup
-from _oracles import (greatest_scaling, inf_div_dual_oracle, star_oracle, sup_div_oracle,
-                      sup_of_products_oracle)
+from _oracles import (greatest_scaling, inf_div_dual_oracle, literal_oracle, star_oracle,
+                      sup_div_oracle, sup_of_products_oracle)
 
 finites = st.fractions(min_value=-50, max_value=50, max_denominator=12).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -184,6 +185,52 @@ def test_scalar_text_round_trip():
         mp.parse_scalar("oops")
 
 
+# Tokens over the grammar's characters, a few it refuses (_, d, space, an Arabic-Indic
+# three) included.  An exponent of four digits or more is left out: Fraction would
+# build the power the digit bound refuses, and that bound has its own tests.
+literal_tokens = st.text(st.sampled_from(list("0123456789+-./eE_d ") + ["\u0663"]),
+                         max_size=8).filter(lambda t: not re.search(r"[eE][-+]?[0-9]{4}", t))
+
+
+@given(literal_tokens)
+@example("5.")
+@example(".5")
+@example("-.5e-3")
+@example("+6/2")
+@example("1E+2")
+@example("3 / 4")
+@example("1_000")
+@example("\u0663")
+def test_parse_scalar_accepts_exactly_the_grammar(token):
+    want = literal_oracle(token)
+    if want is None:
+        with pytest.raises(ValueError, match=f"^bad scalar token {re.escape(repr(token))}$"):
+            mp.parse_scalar(token)
+    else:
+        got = mp.parse_scalar(token).q
+        assert got == want and type(got) is type(want)
+
+
+# -inf and +inf a quarter of the time each, and non-integral rationals as often as ints.
+literal_scalars = st.one_of(
+    st.just(mp.BOTTOM), st.just(mp.TOP), st.integers().map(mp.finite),
+    st.fractions().filter(lambda q: q.denominator != 1).map(mp.finite))
+
+
+@given(literal_scalars)
+def test_format_then_parse_is_the_identity(a):
+    back = mp.parse_scalar(mp.format_scalar(a))
+    assert back == a and type(back.q) is type(a.q)
+
+
+def test_finite_names_a_str_outside_the_grammar():
+    for token in (" 3", "3 ", "3 / 4", "1_000", "\u0663", "", ".", "1.5/2", "e5", "--1", "inf"):
+        with pytest.raises(ValueError, match=f"^not a scalar literal: {re.escape(repr(token))}$"):
+            mp.finite(token)
+        with pytest.raises(ValueError, match=f"^bad scalar token {re.escape(repr(token))}$"):
+            mp.parse_scalar(token)
+
+
 def test_parse_scalar_bounds_literal_digits():
     with pytest.raises(ValueError, match="bad scalar token '1e5000'"):
         mp.parse_scalar("1e5000")
@@ -200,7 +247,7 @@ def test_parse_scalar_refuses_huge_exponent_without_expanding_it():
 
 
 def test_finite_bounds_literal_digits_as_parse_scalar_does():
-    for token in ("1e5000", "1e-4300", "1e999999999"):
+    for token in ("1e5000", "1e-4300", "1e999999999", "1" * 4301):
         with pytest.raises(ValueError, match="literal has too many digits"):
             mp.finite(token)
         with pytest.raises(ValueError, match="literal has too many digits"):
