@@ -31,11 +31,12 @@ def parse_vector_line(line: str, lineno: int = 1,
     try:
         coords = tuple(map(parse_scalar, tokens))
     except ValueError:
-        for m in re.finditer(r"\S+", line):  # columns are found only to report the first bad token
+        for m in re.finditer(r"\S+", line):  # columns are needed only to report a bad token
             try:
                 parse_scalar(m.group())
             except ValueError:
-                raise ParseError(f"bad scalar token {m.group()!r}", lineno, m.start() + 1) from None
+                raise ParseError(f"bad scalar token {m.group()!r}", lineno,
+                                 m.start() + 1) from None
         raise
     if labels is not None and len(labels) != len(coords):
         raise ParseError(f"expected {len(labels)} coordinates, got {len(coords)}", lineno)
