@@ -31,13 +31,14 @@ def parse_vector_line(line: str, lineno: int = 1,
     try:
         coords = tuple(map(parse_scalar, tokens))
     except ValueError:
-        for m in re.finditer(r"\S+", line):  # columns are needed only to report a bad token
+        # Columns are needed only to report the bad token.  \S+ splits as str.split
+        # does, so this scan meets the token that failed and always raises.
+        for m in re.finditer(r"\S+", line):
             try:
                 parse_scalar(m.group())
             except ValueError:
                 raise ParseError(f"bad scalar token {m.group()!r}", lineno,
                                  m.start() + 1) from None
-        raise
     if labels is not None and len(labels) != len(coords):
         raise ParseError(f"expected {len(labels)} coordinates, got {len(coords)}", lineno)
     return FinVector(coords, labels)

@@ -98,14 +98,13 @@ def finite(value) -> ExtendedScalar:
         m = _LITERAL.fullmatch(value)
         if m is None:
             raise ValueError(f"not a scalar literal: {value!r}")
-        if m.lastindex == 2 and len(value) <= MAX_LITERAL_DIGITS:  # a sign and digits alone
-            return ExtendedScalar(_FIN, int(value))
         sign, whole, den, frac, exp = m.groups()
         if den is not None:
             value = Fraction(int(sign + whole), int(den))  # int() bounds p and q
         else:
             frac = frac or ""
-            # value = n * 10**shift; a negative shift gives a denominator of 1 - shift digits
+            # an integer, decimal or exponent: value = n * 10**shift, and a negative
+            # shift gives a denominator of 1 - shift digits
             shift = int(exp or 0) - len(frac)
             if max(len(whole) + len(frac) + max(shift, 0), 1 - shift) > MAX_LITERAL_DIGITS:
                 raise ValueError("literal has too many digits")
