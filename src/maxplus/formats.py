@@ -71,7 +71,7 @@ def parse_vectors(text: str) -> List[FinVector]:
                     raise ParseError("labels header must precede the vectors", lineno)
                 labels = header
             continue
-        vectors.append(parse_vector_line(stripped, lineno, labels))
+        vectors.append(parse_vector_line(line, lineno, labels))  # columns count from the line start
     if not vectors:
         raise ParseError("no vectors in input", 1)
     return vectors
@@ -103,15 +103,16 @@ def format_functions(fs: List[AlgebraElement]) -> str:
 
 def parse_functional(text: str) -> FunctionalRep:
     """A '# functional-representer dim=N' header followed by one vector line."""
-    lines = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
+    lines = [(i, l) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ParseError("empty functional file", 1)
     lineno, header = lines[0]
-    m = re.match(r"#\s*functional-representer\s+dim=(\d+)$", header)
+    m = re.match(r"#\s*functional-representer\s+dim=(\d+)$", header.strip())
     if m is None:
         raise ParseError("missing '# functional-representer dim=N' header", lineno)
     dim = int(m.group(1))
-    body = [(i, l) for i, l in lines[1:] if not l.startswith("#")]
+    # unstripped, so a bad token's column counts from the line start
+    body = [(i, l) for i, l in lines[1:] if not l.lstrip().startswith("#")]
     if len(body) != 1:
         raise ParseError("functional files contain exactly one representer line", lineno)
     rep = parse_vector_line(body[0][1], body[0][0])

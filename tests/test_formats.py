@@ -37,6 +37,18 @@ def test_parse_error_reports_position():
         assert str(err.value) == f"line {line}, column {column}: bad scalar token {token!r}"
 
 
+@pytest.mark.parametrize("indent", ["  ", "\t"])
+def test_parse_error_column_counts_the_indent(indent):
+    line = indent + "1 oops\n"
+    column = len(indent) + 3
+    for parse, text, lineno in ((formats.parse_vectors, line, 1),
+                                (formats.parse_functional,
+                                 "# functional-representer dim=2\n" + line, 2)):
+        with pytest.raises(formats.ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (lineno, column)
+
+
 def test_labels_must_match_dimension():
     with pytest.raises(formats.ParseError):
         formats.parse_vectors("# labels: a b\n1 2 3\n")
