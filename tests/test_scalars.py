@@ -63,6 +63,20 @@ def test_big_sup_big_inf():
     assert mp.big_inf([mp.finite(1), mp.finite(4)]) == mp.finite(1)
 
 
+def _read_until(*xs):
+    """A generator of xs that fails the test if it is read past them."""
+    yield from xs
+    raise AssertionError(f"read past {xs[-1]!r}")
+
+
+def test_big_sup_stops_reading_at_top():
+    assert mp.big_sup(_read_until(mp.finite(1), mp.TOP)) == mp.TOP
+
+
+def test_big_inf_stops_reading_at_bottom():
+    assert mp.big_inf(_read_until(mp.finite(1), mp.BOTTOM)) == mp.BOTTOM
+
+
 def test_exact_rationals():
     a = mp.finite(Fraction(1, 3))
     b = mp.finite(Fraction(1, 6))
