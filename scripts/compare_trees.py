@@ -43,11 +43,7 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
 
 # Faults and commands whose output is meant to change against the tree compared to,
 # each listed with the reason; empty when the two trees must agree everywhere.
-INTENDED = {
-    # the scalar grammar refuses underscores, whitespace and non-ASCII digits,
-    # which Fraction's string parser read: each now exits 2, "bad scalar token"
-    "extend-values-underscore", "check-axioms-sample-space", "eval-star-arabic-digit",
-}
+INTENDED = set()
 
 # Each fault is Python source run in the child before the selftest; it may
 # refer to the modules st (selftest), sa (semialgebra), sm (semimodules), od (order).
