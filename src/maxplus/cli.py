@@ -8,12 +8,11 @@ program, reported as "internal error: <type>: <message>" after its traceback).
 from __future__ import annotations
 
 import argparse
-import random
 import re
 import sys
 from typing import List, Optional
 
-from . import formats, order, selftest, semialgebra
+from . import formats, order, semialgebra
 from .functionals import (FunctionalRep, InconsistentValuesError,
                           LinearMapSample, check_a_linear, extend_functional,
                           graph_sup_closed, pointwise_sup, recover_representer,
@@ -166,6 +165,8 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_check_alinear(args) -> int:
+    import random  # only this verb and selftest draw samples; keep both out of start-up
+    from . import selftest  # its random_vector and random_scalar; see cmd_selftest
     f = formats.parse_functional(_read(args.functional))
     rng = random.Random(args.seed)
     tests = [selftest.random_vector(rng, f.dim) for _ in range(args.samples)]
@@ -183,6 +184,7 @@ def cmd_check_graph(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # the largest module to compile, and only two verbs use it
     lines, ok = selftest.run_selftest(args.seed, dim=args.dim, samples=args.samples)
     for line in lines:
         print(line)

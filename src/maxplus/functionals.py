@@ -8,10 +8,9 @@ representer vector, so functional equality is representer equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple, Union
 
-from .report import CheckReport, fold_failures, refuse_past_subset_bound
+from .report import CheckReport, Frozen, fold_failures, refuse_past_subset_bound
 from .scalars import BOTTOM, ExtendedScalar, format_scalar, s_add, s_conj, s_mul, sup_div
 from .semimodules import (DimensionMismatchError, FinVector, _join_labels, span_sup,
                           unit_vector, v_add, v_inf, v_scale, zero_vector)
@@ -43,11 +42,13 @@ def star_eval(x: FinVector, y: FinVector) -> ExtendedScalar:
     return sup_div(y.coords, x.coords)
 
 
-@dataclass(frozen=True)
-class FunctionalRep:
+class FunctionalRep(Frozen):
     """An a-linear functional given by its representer; calling it evaluates by residuation."""
 
-    representer: FinVector
+    __slots__ = ("representer",)
+
+    def __init__(self, representer: FinVector):
+        object.__setattr__(self, "representer", representer)
 
     @property
     def dim(self) -> int:
@@ -163,11 +164,13 @@ def check_a_linear(map_fn: VectorMap,
     return report
 
 
-@dataclass(frozen=True)
-class LinearMapSample:
+class LinearMapSample(Frozen):
     """A sampled graph of a map: finitely many (input, output) pairs with distinct inputs."""
 
-    pairs: Tuple[Tuple[FinVector, FinVector], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Tuple[Tuple[FinVector, FinVector], ...]):
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def of(cls, pairs: Iterable[Tuple[FinVector, FinVector]]) -> "LinearMapSample":

@@ -8,10 +8,11 @@ to the completion routines (the completion is what restores the joins), but
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+from .report import Frozen
 
 # The completion's output is bounded, not its input: every cut is one element
 # of the result.  Chains are the slowest shape per cut (every cut is large); a
@@ -23,14 +24,14 @@ class PosetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteIS:
+class FiniteIS(Frozen):
     """A finite partial order (element labels and a leq relation), validated when built."""
 
-    elements: Tuple[str, ...]
-    relation: FrozenSet[Tuple[int, int]]
+    __slots__ = ("elements", "relation", "__dict__")  # the __dict__ holds the cached_propertys
 
-    def __post_init__(self) -> None:
+    def __init__(self, elements: Tuple[str, ...], relation: FrozenSet[Tuple[int, int]]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "relation", relation)
         self.validate()
 
     @classmethod
@@ -134,10 +135,12 @@ def standard_order(s: FiniteIS, x: str, y: str) -> bool:
     return s.leq(s.index(x), s.index(y))
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    completed: FiniteIS
-    embedding: Dict[str, str]
+class CompletionResult(Frozen):
+    __slots__ = ("completed", "embedding")
+
+    def __init__(self, completed: FiniteIS, embedding: Dict[str, str]):
+        object.__setattr__(self, "completed", completed)
+        object.__setattr__(self, "embedding", embedding)
 
 
 def _enumerate_cuts(s: FiniteIS) -> List[FrozenSet[int]]:

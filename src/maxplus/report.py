@@ -1,8 +1,8 @@
-"""Pass/fail reports with witnesses, shared by all the law checkers."""
+"""Pass/fail reports with witnesses, shared by all the law checkers, and the
+record base classes every value class of the package is written on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # Subset laws close over the fold states of n items, of which there can be 2**n;
@@ -12,11 +12,65 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 MAX_SUBSET_ITEMS = 14
 
 
-@dataclass
-class CheckEntry:
-    name: str
-    passed: bool
-    witness: object = None
+class Record:
+    """A record over the names in its class's __slots__: field equality and repr.
+
+    The value classes are written on it in place of @dataclass, whose
+    decoration runs at every import of the package.  As with a dataclass, a
+    record equals only a record of its own class, a mutable one is unhashable,
+    and repr names each field.  A "__dict__" slot is not a field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable record, hashed as the tuple of its fields.
+
+    Assignment and deletion raise AttributeError, so __init__ sets each field
+    with object.__setattr__.  copy, deepcopy and pickle rebuild a value by
+    calling the class on its fields, which a raising __setattr__ would
+    otherwise break.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class CheckEntry(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: object = None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -25,9 +79,11 @@ class CheckEntry:
         return f"{self.name}: {status} witness={self.witness!r}"
 
 
-@dataclass
-class CheckReport:
-    entries: List[CheckEntry] = field(default_factory=list)
+class CheckReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Optional[List[CheckEntry]] = None):
+        self.entries = [] if entries is None else entries
 
     def record(self, name: str, passed: bool, witness: object = None) -> None:
         self.entries.append(CheckEntry(name, passed, witness))

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import itertools
 import re
+# Only SemiringDescriptor is a dataclass: callers derive faulty semirings from
+# the shipped ones with dataclasses.replace (the tests, the benchmark's fault
+# workload, compare_trees.py's faults), so this import stays at start-up.
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .report import CheckReport, fold_failures, refuse_past_subset_bound
+from .report import CheckReport, Frozen, fold_failures, refuse_past_subset_bound
 
 _BOT = -1
 _FIN = 0
@@ -24,16 +27,26 @@ class NotInvertibleError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ExtendedScalar:
+class ExtendedScalar(Frozen):
     """An element of the extended max-plus carrier: -inf, a rational, or +inf.
 
     A finite value is stored as an int when it is integral and as a Fraction
     otherwise; the two compare and hash alike, so the choice never shows.
     """
 
-    kind: int
-    q: Union[int, Fraction, None] = None
+    __slots__ = ("kind", "q")
+
+    def __init__(self, kind: int, q: Union[int, Fraction, None] = None):
+        _set_kind(self, kind)
+        _set_q(self, q)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.q) == (other.kind, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.q))
 
     def is_bottom(self) -> bool:
         return self.kind == _BOT
@@ -63,6 +76,11 @@ class ExtendedScalar:
     def __repr__(self) -> str:
         return f"ExtendedScalar({_scalar_text(self)!r})"
 
+
+# The slot descriptors' setters: the cheapest way past Frozen.__setattr__, and
+# the kernels build one scalar per coordinate.
+_set_kind = ExtendedScalar.kind.__set__
+_set_q = ExtendedScalar.q.__set__
 
 BOTTOM = ExtendedScalar(_BOT)
 TOP = ExtendedScalar(_TOP)

@@ -8,11 +8,10 @@ to a finite max.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 from .functionals import ZeroFunctionalError, star_eval
-from .report import CheckReport
+from .report import CheckReport, Frozen
 from .scalars import (BOTTOM, ONE, ExtendedScalar, big_sup, NotInvertibleError, s_inv,
                       s_mul)
 from .semimodules import FinVector, _join_labels, vector
@@ -26,15 +25,15 @@ class NotRepresentableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """A function on the labeled finite set X, or the adjoined all-bottom zero."""
 
-    vec: FinVector
+    __slots__ = ("vec",)
 
-    def __post_init__(self):
-        if self.vec.labels is None:
+    def __init__(self, vec: FinVector):
+        if vec.labels is None:
             raise ValueError("algebra elements need labeled coordinates")
+        object.__setattr__(self, "vec", vec)
 
     @property
     def labels(self) -> Tuple[str, ...]:

@@ -6,11 +6,10 @@ module operations are coordinatewise and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .report import CheckReport, fold_failures, refuse_past_subset_bound
+from .report import CheckReport, Frozen, fold_failures, refuse_past_subset_bound
 from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, _scalar_text, big_inf, big_sup,
                       finite, s_add, s_mul, sup_div)
 
@@ -19,21 +18,29 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FinVector:
-    coords: Tuple[ExtendedScalar, ...]
-    labels: Optional[Tuple[str, ...]] = None
+class FinVector(Frozen):
+    __slots__ = ("coords", "labels")
 
-    def __post_init__(self):
-        if type(self.coords) is not tuple:
-            object.__setattr__(self, "coords", tuple(self.coords))
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(self.coords):
+    def __init__(self, coords: Iterable[ExtendedScalar],
+                 labels: Optional[Sequence[str]] = None):
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(coords):
                 raise DimensionMismatchError("label count does not match dimension")
             if len(set(labels)) != len(labels):
                 raise DimensionMismatchError("duplicate coordinate labels")
-            object.__setattr__(self, "labels", labels)
+        _set_coords(self, coords)
+        _set_labels(self, labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coords, self.labels) == (other.coords, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.labels))
 
     @property
     def dim(self) -> int:
@@ -47,6 +54,11 @@ class FinVector:
 
     def __repr__(self) -> str:
         return "FinVector(" + " ".join(_scalar_text(c) for c in self.coords) + ")"
+
+
+# as for ExtendedScalar: every kernel builds its result vector through these
+_set_coords = FinVector.coords.__set__
+_set_labels = FinVector.labels.__set__
 
 
 def vector(values: Iterable, labels: Optional[Sequence[str]] = None) -> FinVector:
@@ -134,11 +146,13 @@ def span_sup(values: Sequence[ExtendedScalar], generators: Sequence[FinVector],
     return FinVector(tuple(map(sup_div, zip(*rows), repeat(values))), labels)
 
 
-@dataclass(frozen=True)
-class SpanBasis:
+class SpanBasis(Frozen):
     """Generators of a finitely generated subsemimodule; zero generators are dropped."""
 
-    generators: Tuple[FinVector, ...]
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: Tuple[FinVector, ...]):
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def of(cls, generators: Iterable[FinVector]) -> "SpanBasis":

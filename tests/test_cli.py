@@ -339,6 +339,26 @@ def test_unknown_verb_exits_2():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("verb", ["check-alinear", "selftest"])
+def test_only_the_sampling_verbs_load_selftest(files, verb):
+    x = files("x.vec", "1 -2 +inf\n")
+    fn = files("f.fn", "# functional-representer dim=3\n1 -2 +inf\n")
+    argv = {"check-alinear": ["check-alinear", "--functional", fn],
+            "selftest": ["selftest", "--dim", "2", "--samples", "2"]}[verb]
+    code = ("import sys\n"
+            "import maxplus.cli\n"
+            "assert 'maxplus.selftest' not in sys.modules\n"
+            f"assert maxplus.cli.main(['eval-star', '--x', {x!r}, '--y', {x!r}]) == 0\n"
+            "assert 'maxplus.selftest' not in sys.modules\n"
+            f"assert maxplus.cli.main({argv!r}) == 0\n"
+            "assert 'maxplus.selftest' in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(mp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "0" and "PASS" in result.stdout
+
+
 def test_selftest_scoreboard(capsys):
     code, out, _ = run_cli(["selftest", "--seed", "42", "--samples", "20",
                             "--dim", "3"], capsys)
