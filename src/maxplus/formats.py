@@ -71,7 +71,8 @@ def parse_vectors(text: str) -> List[FinVector]:
                     raise ParseError("labels header must precede the vectors", lineno)
                 labels = header
             continue
-        vectors.append(parse_vector_line(line, lineno, labels))  # columns count from the line start
+        # unstripped, so a bad token's column counts from the line start
+        vectors.append(parse_vector_line(line, lineno, labels))
     if not vectors:
         raise ParseError("no vectors in input", 1)
     return vectors

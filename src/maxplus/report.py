@@ -23,8 +23,7 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
 
     def _values(self) -> tuple:

@@ -353,7 +353,8 @@ def test_only_the_sampling_verbs_load_selftest(files, verb):
             f"assert maxplus.cli.main({argv!r}) == 0\n"
             "assert 'maxplus.selftest' in sys.modules\n")
     src = os.path.dirname(os.path.dirname(mp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == "0" and "PASS" in result.stdout

@@ -40,7 +40,8 @@ def check_value(a, same, other, fields, text, frozen=True):
                     setattr(b, name, None)
                 with pytest.raises(AttributeError):
                     delattr(b, name)
-            # a frozen slots dataclass raised TypeError here, from its zero-argument super()
+            # a frozen slots dataclass raises TypeError here: its generated
+            # __setattr__ names the class that slots=True replaced
             with pytest.raises((AttributeError, TypeError)):
                 b.extra = 1
             assert b == a
@@ -81,14 +82,17 @@ def test_linear_map_sample():
 
 
 def test_algebra_element():
-    check_value(mp.element([0, "1/2"], ["a", "b"]), AlgebraElement(mp.vector([0, "1/2"], ["a", "b"])),
-                mp.element([0, "1/2"], ["a", "c"]), ("vec",), "AlgebraElement(vec=FinVector(0 1/2))")
+    check_value(mp.element([0, "1/2"], ["a", "b"]),
+                AlgebraElement(mp.vector([0, "1/2"], ["a", "b"])),
+                mp.element([0, "1/2"], ["a", "c"]), ("vec",),
+                "AlgebraElement(vec=FinVector(0 1/2))")
 
 
 def test_finite_is():
     s = FiniteIS.from_pairs(["a"], [])
     check_value(s, FiniteIS(("a",), frozenset({(0, 0)})), FiniteIS.from_pairs(["b"], []),
-                ("elements", "relation"), "FiniteIS(elements=('a',), relation=frozenset({(0, 0)}))")
+                ("elements", "relation"),
+                "FiniteIS(elements=('a',), relation=frozenset({(0, 0)}))")
     for b in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
         assert b.top_index() == 0 and b.is_complete_lattice()
 
