@@ -10,7 +10,7 @@ from typing import List, Optional, Tuple
 
 from .order import COMPLETION_MAX_CUTS, FiniteIS
 from .scalars import format_scalar, parse_scalar
-from .semimodules import FinVector
+from .semimodules import FinVector, _from_scalars
 from .semialgebra import AlgebraElement
 from .functionals import FunctionalRep
 
@@ -25,6 +25,7 @@ class ParseError(ValueError):
 
 def parse_vector_line(line: str, lineno: int = 1,
                       labels: Optional[Tuple[str, ...]] = None) -> FinVector:
+    """One line of scalars; labels, if given, is the checked labeling of a '# labels:' header."""
     tokens = line.split()
     if not tokens:
         raise ParseError("empty vector line", lineno)
@@ -41,7 +42,7 @@ def parse_vector_line(line: str, lineno: int = 1,
                                  m.start() + 1) from None
     if labels is not None and len(labels) != len(coords):
         raise ParseError(f"expected {len(labels)} coordinates, got {len(coords)}", lineno)
-    return FinVector(coords, labels)
+    return _from_scalars(coords, labels)
 
 
 def _labels_header(line: str, lineno: int) -> Optional[Tuple[str, ...]]:
@@ -79,7 +80,7 @@ def parse_vectors(text: str) -> List[FinVector]:
 
 
 def format_vector(v: FinVector) -> str:
-    return " ".join(format_scalar(c) for c in v.coords)
+    return " ".join(map(format_scalar, v.coords))
 
 
 def format_vectors(vs: List[FinVector]) -> str:

@@ -12,8 +12,8 @@ from typing import Callable, Iterable, Sequence, Tuple, Union
 
 from .report import CheckReport, Frozen, fold_failures, refuse_past_subset_bound
 from .scalars import BOTTOM, ExtendedScalar, format_scalar, s_add, s_conj, s_mul, sup_div
-from .semimodules import (DimensionMismatchError, FinVector, _join_labels, span_sup,
-                          unit_vector, v_add, v_inf, v_scale, zero_vector)
+from .semimodules import (DimensionMismatchError, FinVector, _from_scalars, _join_labels,
+                          span_sup, unit_vector, v_add, v_inf, v_scale, zero_vector)
 
 
 class ZeroFunctionalError(ValueError):
@@ -72,7 +72,7 @@ def recover_representer(f: Union[Oracle, FunctionalRep], probe_dim: int) -> FinV
     values = [f(unit_vector(i, probe_dim)) for i in range(probe_dim)]
     if all(v.is_bottom() for v in values):
         raise ZeroFunctionalError("zero functional has no representer")
-    return FinVector(tuple(s_conj(v) for v in values))
+    return _from_scalars(tuple(map(s_conj, values)))
 
 
 def extend_functional(w, values: Sequence[ExtendedScalar],

@@ -33,6 +33,10 @@ _ALINEAR_SCALARS = 20   # homogeneity scalars per a-linearity check, -inf and 0 
 _MAX_POINTS = 8         # largest point set of the semialgebra suites
 _POSET_MAX_N = 4        # the completion suite covers every poset up to this size
 
+# The finite values drawn, -10 .. 10: choice of these 21 draws the stream
+# randint(-10, 10) would (one _randbelow(21) each) without a finite() per draw.
+_SMALL = tuple(finite(k) for k in range(-10, 11))
+
 
 def random_scalar(rng: random.Random) -> ExtendedScalar:
     r = rng.random()
@@ -40,7 +44,7 @@ def random_scalar(rng: random.Random) -> ExtendedScalar:
         return BOTTOM
     if r < 1 / 8 + 1 / 16:
         return TOP
-    return finite(rng.randint(-10, 10))
+    return rng.choice(_SMALL)
 
 
 def random_vector(rng: random.Random, dim: int) -> FinVector:
@@ -63,7 +67,7 @@ def random_representer(rng: random.Random, dim: int) -> FinVector:
 
 
 def random_finite_vector(rng: random.Random, dim: int) -> FinVector:
-    return FinVector(tuple(finite(rng.randint(-10, 10)) for _ in range(dim)))
+    return FinVector(tuple(rng.choice(_SMALL) for _ in range(dim)))
 
 
 def _random_element(rng: random.Random, n: int, proper: bool) -> semialgebra.AlgebraElement:

@@ -14,7 +14,7 @@ from .functionals import ZeroFunctionalError, star_eval
 from .report import CheckReport, Frozen
 from .scalars import (BOTTOM, ONE, ExtendedScalar, big_sup, NotInvertibleError, s_inv,
                       s_mul)
-from .semimodules import FinVector, _join_labels, vector
+from .semimodules import FinVector, _from_scalars, _join_labels, vector
 
 
 class OutsideProperSpaceWarning(UserWarning):
@@ -44,7 +44,7 @@ class AlgebraElement(Frozen):
 
     def is_proper(self) -> bool:
         """True when every value is finite (a bounded function, hence invertible)."""
-        return all(c.is_finite() for c in self.vec.coords)
+        return all(map(ExtendedScalar.is_finite, self.vec.coords))
 
 
 def element(values: Sequence, labels: Sequence[str]) -> AlgebraElement:
@@ -72,15 +72,14 @@ def point_mass(labels: Sequence[str], t: str) -> AlgebraElement:
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Pointwise multiplication (pointwise addition of values)."""
     labels = _join_labels(a.vec, b.vec)
-    return AlgebraElement(FinVector(
-        tuple(s_mul(x, y) for x, y in zip(a.vec.coords, b.vec.coords)), labels))
+    return AlgebraElement(_from_scalars(tuple(map(s_mul, a.vec.coords, b.vec.coords)), labels))
 
 
 def alg_inverse(a: AlgebraElement) -> AlgebraElement:
     """Pointwise inverse; defined exactly for the proper (all-finite) elements."""
     if not a.is_proper():
         raise NotInvertibleError("only elements with all finite values are invertible")
-    return AlgebraElement(FinVector(tuple(s_inv(c) for c in a.vec.coords), a.labels))
+    return AlgebraElement(_from_scalars(tuple(map(s_inv, a.vec.coords)), a.labels))
 
 
 def one_star(a: AlgebraElement) -> ExtendedScalar:

@@ -19,12 +19,22 @@ class DimensionMismatchError(ValueError):
 
 
 class FinVector(Frozen):
+    """A vector of ExtendedScalar coordinates, optionally labeled.
+
+    The constructor refuses any other coordinate with TypeError (vector()
+    converts numbers and literals), a label count other than the dimension
+    and a repeated label.  The kernels build through _from_scalars.
+    """
+
     __slots__ = ("coords", "labels")
 
     def __init__(self, coords: Iterable[ExtendedScalar],
                  labels: Optional[Sequence[str]] = None):
         if type(coords) is not tuple:
             coords = tuple(coords)
+        if not all(map(isinstance, coords, repeat(ExtendedScalar))):
+            raise TypeError("vector coordinates are ExtendedScalar values; "
+                            "vector() converts numbers and literals")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != len(coords):
@@ -47,18 +57,29 @@ class FinVector(Frozen):
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(c.is_bottom() for c in self.coords)
+        return all(map(ExtendedScalar.is_bottom, self.coords))
 
     def is_all_top(self) -> bool:
-        return all(c.is_top() for c in self.coords)
+        return all(map(ExtendedScalar.is_top, self.coords))
 
     def __repr__(self) -> str:
-        return "FinVector(" + " ".join(_scalar_text(c) for c in self.coords) + ")"
+        return "FinVector(" + " ".join(map(_scalar_text, self.coords)) + ")"
 
 
-# as for ExtendedScalar: every kernel builds its result vector through these
+# as for ExtendedScalar: the cheapest way past Frozen.__setattr__, for the
+# constructor and for _from_scalars, which builds every kernel's result
 _set_coords = FinVector.coords.__set__
 _set_labels = FinVector.labels.__set__
+
+
+def _from_scalars(coords: Tuple[ExtendedScalar, ...],
+                  labels: Optional[Tuple[str, ...]] = None) -> FinVector:
+    """A FinVector past the constructor's checks, for a tuple of scalars under
+    labels already checked: the kernels' path, one per result vector."""
+    v = object.__new__(FinVector)
+    _set_coords(v, coords)
+    _set_labels(v, labels)
+    return v
 
 
 def vector(values: Iterable, labels: Optional[Sequence[str]] = None) -> FinVector:
@@ -78,7 +99,7 @@ def top_vector(dim: int, labels: Optional[Sequence[str]] = None) -> FinVector:
 def unit_vector(i: int, dim: int) -> FinVector:
     if not 0 <= i < dim:
         raise IndexError(f"unit vector {i} of dimension {dim}")
-    return FinVector((BOTTOM,) * i + (ONE,) + (BOTTOM,) * (dim - i - 1))
+    return _from_scalars((BOTTOM,) * i + (ONE,) + (BOTTOM,) * (dim - i - 1))
 
 
 def _join_labels(*xs: FinVector) -> Optional[Tuple[str, ...]]:
@@ -91,9 +112,10 @@ def _join_labels(*xs: FinVector) -> Optional[Tuple[str, ...]]:
     if not xs:
         raise DimensionMismatchError("an empty family of vectors has no dimension")
     first = xs[0]
+    dim = len(first.coords)
     for y in xs:
-        if first.dim != y.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {first.dim} vs {y.dim}")
+        if len(y.coords) != dim:
+            raise DimensionMismatchError(f"dimension mismatch: {dim} vs {len(y.coords)}")
         if first.labels is None:
             first = y
         elif y.labels is not None and first.labels != y.labels:
@@ -103,28 +125,28 @@ def _join_labels(*xs: FinVector) -> Optional[Tuple[str, ...]]:
 
 def v_add(x: FinVector, y: FinVector) -> FinVector:
     labels = _join_labels(x, y)
-    return FinVector(tuple(s_add(a, b) for a, b in zip(x.coords, y.coords)), labels)
+    return _from_scalars(tuple(map(s_add, x.coords, y.coords)), labels)
 
 
 def v_scale(k: ExtendedScalar, x: FinVector) -> FinVector:
-    return FinVector(tuple(s_mul(k, c) for c in x.coords), x.labels)
+    return _from_scalars(tuple(map(s_mul, repeat(k), x.coords)), x.labels)
 
 
 def v_leq(x: FinVector, y: FinVector) -> bool:
     _join_labels(x, y)
-    return all(a <= b for a, b in zip(x.coords, y.coords))
+    return all(map(ExtendedScalar.__le__, x.coords, y.coords))
 
 
 def v_sup(xs: Iterable[FinVector]) -> FinVector:
     xs = list(xs)
     labels = _join_labels(*xs)
-    return FinVector(tuple(map(big_sup, zip(*[x.coords for x in xs]))), labels)
+    return _from_scalars(tuple(map(big_sup, zip(*[x.coords for x in xs]))), labels)
 
 
 def v_inf(xs: Iterable[FinVector]) -> FinVector:
     xs = list(xs)
     labels = _join_labels(*xs)
-    return FinVector(tuple(map(big_inf, zip(*[x.coords for x in xs]))), labels)
+    return _from_scalars(tuple(map(big_inf, zip(*[x.coords for x in xs]))), labels)
 
 
 def span_sup(values: Sequence[ExtendedScalar], generators: Sequence[FinVector],
@@ -141,9 +163,9 @@ def span_sup(values: Sequence[ExtendedScalar], generators: Sequence[FinVector],
     labels = _join_labels(*generators)
     kept = [(g.coords, v) for g, v in zip(generators, values) if not v.is_top()]
     if not kept:
-        return zero_vector(generators[0].dim, labels)
+        return _from_scalars((BOTTOM,) * len(generators[0].coords), labels)
     rows, values = zip(*kept)
-    return FinVector(tuple(map(sup_div, zip(*rows), repeat(values))), labels)
+    return _from_scalars(tuple(map(sup_div, zip(*rows), repeat(values))), labels)
 
 
 class SpanBasis(Frozen):
@@ -178,7 +200,7 @@ def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     for g in w.generators:
         _join_labels(g, y)
         values.append(sup_div(g.coords, y.coords))
-    projection = FinVector(span_sup(values, w.generators, y.dim).coords, y.labels)
+    projection = _from_scalars(span_sup(values, w.generators, y.dim).coords, y.labels)
     return projection, projection.coords == y.coords
 
 

@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the closed forms under test: evaluation is checked by
-scanning a coefficient grid, the one-pass residual loops by composing the
-scalar residuals, the span kernel by composing s_mul, span combinations by
-folding v_add over v_scale, membership by enumerating integer coefficient
-combinations, scalar products by exhaustive max over the point set, and the
-order and graph-closure checks and the subset-law folds by scanning every
-subset, and scalar literals by Fraction's own string parser.
+These deliberately avoid the closed forms under test: the coordinatewise
+kernels are checked against the semiring rules written out per coordinate,
+evaluation by scanning a coefficient grid, the one-pass residual loops by
+composing the scalar residuals, the span kernel by composing s_mul, span
+combinations by folding v_add over v_scale, membership by enumerating integer
+coefficient combinations, scalar products by exhaustive max over the point
+set, and the order and graph-closure checks and the subset-law folds by
+scanning every subset, and scalar literals by Fraction's own string parser.
 """
 
 from fractions import Fraction
@@ -32,6 +33,48 @@ def literal_oracle(token):
     except (ValueError, ZeroDivisionError):
         return None
     return q.numerator if q.denominator == 1 else q
+
+
+def order_key(a):
+    """A scalar's place in the extended order: -inf, then the rationals by value, then +inf."""
+    return (0, 0) if a.is_bottom() else (2, 0) if a.is_top() else (1, a.q)
+
+
+def add_oracle(a, b):
+    """Scalar (+): the larger of the two in the extended order."""
+    return max(a, b, key=order_key)
+
+
+def mul_oracle(a, b):
+    """Scalar (x): the sum of the raw values; -inf absorbs everything, +inf absorbs the nonzero."""
+    if a.is_bottom() or b.is_bottom():
+        return mp.BOTTOM
+    if a.is_top() or b.is_top():
+        return mp.TOP
+    return mp.finite(a.q + b.q)
+
+
+def v_add_oracle(x, y):
+    """v_add of two vectors sharing dimension and labels, coordinate by coordinate;
+    the labels are those of whichever vector is labeled."""
+    return mp.FinVector(tuple(add_oracle(a, b) for a, b in zip(x.coords, y.coords)),
+                        x.labels if x.labels is not None else y.labels)
+
+
+def v_scale_oracle(k, x):
+    """v_scale: k times each coordinate, x's labels kept."""
+    return mp.FinVector(tuple(mul_oracle(k, c) for c in x.coords), x.labels)
+
+
+def alg_mul_oracle(a, b):
+    """alg_mul of two elements on one labeled set: the pointwise product."""
+    return mp.AlgebraElement(mp.FinVector(
+        tuple(mul_oracle(u, v) for u, v in zip(a.vec.coords, b.vec.coords)), a.labels))
+
+
+def v_leq_oracle(x, y):
+    """v_leq: every coordinate of x is at most y's in the extended order."""
+    return all(order_key(a) <= order_key(b) for a, b in zip(x.coords, y.coords))
 
 
 def star_oracle(x, y, lo=-20, hi=20):

@@ -1,5 +1,7 @@
 """The selftest scoreboard text, PASS and FAIL lines alike, pinned byte for byte."""
 
+import random
+
 import pytest
 
 import maxplus.selftest as st
@@ -58,3 +60,23 @@ def test_injected_fault_fail_line(monkeypatch, fault, expected):
     lines, ok = st.run_selftest(42, 5, 20)
     assert not ok
     assert [line for line in lines if ": FAIL (" in line] == [expected]
+
+
+def _randint_scalar(rng):
+    """random_scalar as first written, with randint: the stream the scoreboards were pinned on."""
+    r = rng.random()
+    if r < 1 / 8:
+        return st.BOTTOM
+    if r < 1 / 8 + 1 / 16:
+        return st.TOP
+    return st.finite(rng.randint(-10, 10))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 12345])
+def test_sampler_draws_the_randint_stream(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    assert [st.random_scalar(new) for _ in range(2000)] == [_randint_scalar(old)
+                                                            for _ in range(2000)]
+    assert st.random_finite_vector(new, 7).coords == tuple(
+        st.finite(old.randint(-10, 10)) for _ in range(7))
+    assert new.getstate() == old.getstate()

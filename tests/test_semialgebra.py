@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus import semialgebra as sa
-from _oracles import scalar_product_oracle, star_oracle
+from _oracles import alg_mul_oracle, scalar_product_oracle, star_oracle
 
 rng = random.Random(99)
 
@@ -34,6 +36,22 @@ def test_alg_mul_identity_and_absorption():
     phi = fn([5, -3])
     assert sa.alg_mul(phi, sa.unit_element(X)) == phi
     assert sa.alg_mul(phi, sa.zero_element(X)) == sa.zero_element(X)
+
+
+# ints and Fractions, with half the draws at -inf or +inf
+oracle_scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP),
+                           st.integers(-10, 10).map(mp.finite),
+                           st.fractions(-10, 10, max_denominator=7).map(mp.finite))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.tuples(oracle_scalars, oracle_scalars), min_size=n, max_size=n)))
+def test_alg_mul_matches_its_oracle(pairs):
+    labels = tuple(f"t{i}" for i in range(len(pairs)))
+    a, b = (sa.AlgebraElement(mp.FinVector(coords, labels)) for coords in zip(*pairs))
+    got = sa.alg_mul(a, b)
+    assert got == alg_mul_oracle(a, b) and got.labels == labels
+    assert got == sa.alg_mul(b, a)
 
 
 def test_alg_mul_label_mismatch():

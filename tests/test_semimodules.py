@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import maxplus as mp
 from maxplus.report import MAX_SUBSET_ITEMS
 from maxplus.semimodules import _join_labels, span_sup
-from _oracles import greatest_scaling, inf_div_dual_oracle, span_member_oracle, span_sup_oracle
+from _oracles import (greatest_scaling, inf_div_dual_oracle, span_member_oracle,
+                      span_sup_oracle, v_add_oracle, v_leq_oracle, v_scale_oracle)
 
 finites = st.integers(min_value=-10, max_value=10).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -220,6 +221,10 @@ def test_coordinates_are_stored_as_a_tuple():
 def test_vector_construction_refusals():
     with pytest.raises(mp.DimensionMismatchError, match="label count does not match dimension"):
         mp.FinVector((mp.ONE,), ("a", "b"))
+    for coords in ((0, 1), [mp.ONE, 1], (mp.ONE, "0"), (mp.ONE, None)):
+        with pytest.raises(TypeError, match=r"vector\(\) converts numbers and literals"):
+            mp.FinVector(coords)
+    assert mp.vector((0, 1)) == mp.FinVector((mp.ONE, mp.finite(1)))
     for i in (-1, 3):
         with pytest.raises(IndexError, match=f"unit vector {i} of dimension 3"):
             mp.unit_vector(i, 3)
@@ -322,15 +327,23 @@ def test_labels_flow_through_operations():
 def test_one_label_rule_for_every_binary_kernel():
     ab = mp.vector([1, 2], labels=["a", "b"])
     ba = mp.vector([3, 4], labels=["b", "a"])
+    abc = mp.vector([0, 0, 0], labels=["a", "b", "c"])
     plain = mp.vector([0, 0])
-    for kernel in (mp.star_eval, mp.v_leq,
-                   lambda x, y: mp.project_onto_span(y, mp.SpanBasis.of([x]))):
+    vector_kernels = (mp.v_add, mp.star_eval, mp.v_leq,
+                      lambda x, y: mp.project_onto_span(y, mp.SpanBasis.of([x])))
+    on_elements = [lambda x, y, k=k: k(mp.AlgebraElement(x), mp.AlgebraElement(y))
+                   for k in (mp.alg_mul, mp.scalar_product)]  # elements are always labeled
+    for kernel in vector_kernels:
         kernel(ab, plain)
         kernel(plain, ab)
+    for kernel in (*vector_kernels, *on_elements):
         with pytest.raises(mp.DimensionMismatchError, match="labels disagree"):
             kernel(ab, ba)
-        with pytest.raises(mp.DimensionMismatchError):
-            kernel(ab, mp.vector([0, 0, 0]))
+        # the first vector's dimension is named first, either way round
+        with pytest.raises(mp.DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+            kernel(ab, abc)
+        with pytest.raises(mp.DimensionMismatchError, match="^dimension mismatch: 3 vs 2$"):
+            kernel(abc, ab)
 
 
 def test_v_inf_checks_every_labeling():
@@ -367,3 +380,39 @@ def test_labels_are_stored_as_a_tuple_and_never_repeat():
                   lambda: mp.vector([0, 1], ("a", "a")), lambda: mp.zero_vector(2, ["b", "b"])):
         with pytest.raises(mp.DimensionMismatchError, match="duplicate coordinate labels"):
             build()
+
+
+# The coordinatewise kernels against the semiring rules written out per
+# coordinate, on ints and Fractions, with half the draws at -inf or +inf.
+oracle_scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites,
+                           st.fractions(-10, 10, max_denominator=7).map(mp.finite))
+
+
+@st.composite
+def joinable_pairs(draw):
+    """Two vectors of one dimension, each unlabeled or under the one labeling."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    labeling = tuple(draw(st.sampled_from(["abcdef", "fedcba"]))[:dim])
+    return tuple(mp.FinVector(draw(st.lists(oracle_scalars, min_size=dim, max_size=dim)),
+                              draw(st.sampled_from([None, labeling]))) for _ in range(2))
+
+
+@given(joinable_pairs())
+def test_v_add_matches_its_oracle(xy):
+    x, y = xy
+    got = mp.v_add(x, y)
+    assert got == v_add_oracle(x, y)  # FinVector equality compares the labels too
+    assert got == mp.v_add(y, x)
+
+
+@given(oracle_scalars, joinable_pairs())
+def test_v_scale_matches_its_oracle(k, xy):
+    for x in xy:
+        assert mp.v_scale(k, x) == v_scale_oracle(k, x)
+
+
+@given(joinable_pairs())
+def test_v_leq_matches_its_oracle(xy):
+    x, y = xy
+    assert mp.v_leq(x, y) == v_leq_oracle(x, y)
+    assert mp.v_leq(x, mp.v_add(x, y))

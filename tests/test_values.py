@@ -16,7 +16,7 @@ from maxplus.functionals import LinearMapSample
 from maxplus.order import CompletionResult, FiniteIS, dm_completion
 from maxplus.report import CheckEntry, CheckReport
 from maxplus.semialgebra import AlgebraElement
-from maxplus.semimodules import SpanBasis
+from maxplus.semimodules import SpanBasis, _from_scalars
 
 
 def check_value(a, same, other, fields, text, frozen=True):
@@ -60,6 +60,9 @@ def test_fin_vector():
     check_value(x, mp.FinVector(list(x.coords), ["a", "b", "c"]), mp.vector([1, mp.BOTTOM, "1/2"]),
                 ("coords", "labels"), "FinVector(1 -inf 1/2)")
     assert mp.FinVector(x.coords).labels is None
+    # the kernels build past the constructor's checks, into the same value
+    check_value(_from_scalars(x.coords, x.labels), x, mp.FinVector(x.coords),
+                ("coords", "labels"), "FinVector(1 -inf 1/2)")
 
 
 def test_span_basis():
