@@ -17,8 +17,7 @@ from .functionals import (FunctionalRep, InconsistentValuesError,
                           LinearMapSample, check_a_linear, extend_functional,
                           graph_sup_closed, pointwise_sup, recover_representer,
                           separate_points)
-from .scalars import (boolean_semifield, check_semiring_axioms,
-                      extended_maxplus, format_scalar, parse_scalar)
+from .scalars import format_scalar, parse_scalar
 from .semimodules import SpanBasis
 
 EXIT_OK = 0
@@ -154,13 +153,14 @@ def cmd_complete(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
+    from . import semirings  # it imports dataclasses, which no other verb but selftest needs
     if args.semiring == "boolean":
-        report = check_semiring_axioms(boolean_semifield())
+        report = semirings.check_semiring_axioms(semirings.boolean_semifield())
     else:
         sample = [parse_scalar(tok) for tok in args.sample]
         if not sample:
             raise UsageError("the extended max-plus carrier needs --sample values")
-        report = check_semiring_axioms(extended_maxplus(), sample)
+        report = semirings.check_semiring_axioms(semirings.extended_maxplus(), sample)
     return _print_report(report)
 
 

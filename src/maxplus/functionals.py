@@ -61,15 +61,24 @@ class FunctionalRep(Frozen):
 Oracle = Callable[[FinVector], ExtendedScalar]
 
 
+def _require_scalars(values: list) -> None:
+    """Refuse oracle values that are not ExtendedScalar, naming the first one's type."""
+    if not all(map(isinstance, values, itertools.repeat(ExtendedScalar))):
+        bad = next(v for v in values if not isinstance(v, ExtendedScalar))
+        raise TypeError(f"the oracle returned {type(bad).__name__}, not an ExtendedScalar")
+
+
 def recover_representer(f: Union[Oracle, FunctionalRep], probe_dim: int) -> FinVector:
     """Recover the representer of a nonzero a-linear functional from evaluations.
 
     Probing on the unit vectors inverts the evaluation formula coordinatewise,
     one oracle call per unit vector.  The recovery needs no re-check against
     those probes: star_eval(x, e_i) reads coordinate i alone, so it is
-    s_conj(s_conj(v_i)), which is v_i for -inf, finite and +inf alike.
+    s_conj(s_conj(v_i)), which is v_i for -inf, finite and +inf alike.  An
+    oracle value that is not an ExtendedScalar raises TypeError.
     """
     values = [f(unit_vector(i, probe_dim)) for i in range(probe_dim)]
+    _require_scalars(values)
     if all(v.is_bottom() for v in values):
         raise ZeroFunctionalError("zero functional has no representer")
     return _from_scalars(tuple(map(s_conj, values)))
@@ -144,7 +153,9 @@ def check_a_linear(map_fn: VectorMap,
     k * p(x) = p(k * x) is checked for the supplied scalars except +inf (the
     evaluation functionals are not +inf-homogeneous, matching the scalar-side
     caveat in the degenerate conventions).  More than report.MAX_SUBSET_ITEMS
-    test vectors are refused before map_fn is called.
+    test vectors are refused before map_fn is called.  A map_fn whose value on
+    the zero vector is neither an ExtendedScalar nor a FinVector raises
+    TypeError.
     """
     test_vectors = list(test_vectors)
     if not test_vectors:
@@ -153,6 +164,9 @@ def check_a_linear(map_fn: VectorMap,
     dim = test_vectors[0].dim
     report = CheckReport()
     zero_out = map_fn(zero_vector(dim))  # fixes the output algebra; -inf times it is the zero
+    if not isinstance(zero_out, (ExtendedScalar, FinVector)):
+        raise TypeError(f"the map returned {type(zero_out).__name__}, "
+                        "not an ExtendedScalar or a FinVector")
     out_add, out_scale = ((s_add, s_mul) if isinstance(zero_out, ExtendedScalar)
                           else (v_add, v_scale))
     report.record_first("sup-preservation", fold_failures(

@@ -19,11 +19,10 @@ from .functionals import (FunctionalRep, InconsistentValuesError,
                           graph_sup_closed, pointwise_sup, recover_representer,
                           separate_points, star_eval)
 from .report import CheckReport
-from .scalars import (BOTTOM, ONE, TOP, ExtendedScalar, big_sup,
-                      boolean_semifield, check_semiring_axioms,
-                      extended_maxplus, finite)
+from .scalars import BOTTOM, ONE, TOP, ExtendedScalar, big_sup, finite
 from .semimodules import (FinVector, SpanBasis, check_b_space_axioms, v_inf,
                           vector)
+from .semirings import boolean_semifield, check_semiring_axioms, extended_maxplus
 
 # Fixed suite sizes: only the seed, the dimension and the sample count vary.
 _PROBES = 20            # probe vectors per recovered functional (Theorems 1 and 3)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Sequence, Tuple
 
-from .functionals import ZeroFunctionalError, star_eval
+from .functionals import ZeroFunctionalError, _require_scalars, star_eval
 from .report import CheckReport, Frozen
 from .scalars import (BOTTOM, ONE, ExtendedScalar, big_sup, NotInvertibleError, s_inv,
                       s_mul)
@@ -117,10 +117,12 @@ def riesz_representer(f: Oracle, labels: Sequence[str]) -> AlgebraElement:
     The scalar product against a point mass reads off one value of the hidden
     element.  A +inf probe value means no element of the algebra represents f;
     a -inf value is allowed but flagged, since the result then falls outside
-    the bounded functions proper.
+    the bounded functions proper.  A probe value that is not an ExtendedScalar
+    raises TypeError.
     """
     labels = tuple(labels)
     values = [f(point_mass(labels, t)) for t in labels]
+    _require_scalars(values)
     if all(v.is_bottom() for v in values):
         raise ZeroFunctionalError("zero functional has no representer")
     if any(v.is_top() for v in values):

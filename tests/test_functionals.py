@@ -131,6 +131,13 @@ def test_recover_zero_functional_errors():
         mp.recover_representer(lambda v: mp.BOTTOM, 3)
 
 
+def test_recover_refuses_an_oracle_value_that_is_not_a_scalar():
+    # e_0 gets a scalar, e_1 an int: the error names the int, not an attribute
+    oracle = lambda v: mp.ONE if v.coords[0] == mp.ONE else 0
+    with pytest.raises(TypeError, match="oracle returned int, not an ExtendedScalar"):
+        mp.recover_representer(oracle, 2)
+
+
 def test_recovery_identity_holds_for_every_kind():
     # star_eval(x, e_i) reads coordinate i alone, as s_div(ONE, x_i), and recovery
     # returns its conjugate; this is why recovery needs no re-check.
@@ -419,6 +426,11 @@ def test_map_changing_output_dimension_is_refused():
     grow = lambda v: mp.zero_vector(1) if v.is_zero() else v
     with pytest.raises(mp.DimensionMismatchError):
         mp.check_a_linear(grow, [mp.vector([0, 1])])
+
+
+def test_a_linearity_refuses_a_map_whose_values_are_neither_scalars_nor_vectors():
+    with pytest.raises(TypeError, match="map returned int, not an ExtendedScalar or a FinVector"):
+        mp.check_a_linear(lambda v: 0, [mp.vector([0, 1])])
 
 
 def test_a_linearity_subset_bound():

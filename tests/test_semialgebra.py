@@ -154,6 +154,12 @@ def test_riesz_zero_functional_is_the_package_error():
         sa.riesz_representer(lambda y: mp.BOTTOM, X)
 
 
+def test_riesz_refuses_an_oracle_value_that_is_not_a_scalar():
+    oracle = lambda y: mp.ONE if y.vec.coords[0] == mp.ONE else 1
+    with pytest.raises(TypeError, match="oracle returned int, not an ExtendedScalar"):
+        sa.riesz_representer(oracle, X)
+
+
 def test_riesz_top_value_not_representable():
     with pytest.raises(sa.NotRepresentableError):
         sa.riesz_representer(lambda y: mp.TOP, X)
