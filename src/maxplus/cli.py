@@ -3,6 +3,8 @@
 Exit codes: 0 for values and passing checks, 1 for a property violation,
 2 for usage, file, or parse errors, 3 for an internal error (a fault in this
 program, reported as "internal error: <type>: <message>" after its traceback).
+
+Each verb imports the modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -12,13 +14,8 @@ import re
 import sys
 from typing import List, Optional
 
-from . import formats, order, semialgebra
-from .functionals import (FunctionalRep, InconsistentValuesError,
-                          LinearMapSample, check_a_linear, extend_functional,
-                          graph_sup_closed, pointwise_sup, recover_representer,
-                          separate_points)
+from . import formats
 from .scalars import format_scalar, parse_scalar
-from .semimodules import SpanBasis
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -79,6 +76,7 @@ def _print_report(report) -> int:
 
 
 def cmd_eval_star(args) -> int:
+    from .functionals import FunctionalRep  # each verb loads its own modules
     x = _one_vector(args.x)
     y = _one_vector(args.y)
     print(format_scalar(FunctionalRep(x)(y)))
@@ -86,6 +84,7 @@ def cmd_eval_star(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from .functionals import FunctionalRep, recover_representer  # as in cmd_eval_star
     f = formats.parse_functional(_read(args.functional))
     recovered = recover_representer(f, f.dim)
     sys.stdout.write(formats.format_functional(FunctionalRep(recovered)))
@@ -93,17 +92,24 @@ def cmd_recover(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .functionals import InconsistentValuesError, extend_functional  # as in cmd_eval_star
+    from .semimodules import SpanBasis  # formats has loaded it
     generators = formats.parse_vectors(_read(args.generators))
     values = [parse_scalar(tok) for tok in args.values]
     # Count every line, all -inf ones too: extend_functional checks their values.
     if len(values) != len(generators):
         raise UsageError(f"{len(generators)} generators but {len(values)} values")
-    f = extend_functional(SpanBasis(tuple(generators)), values, args.dim)
+    try:
+        f = extend_functional(SpanBasis(tuple(generators)), values, args.dim)
+    except InconsistentValuesError as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     sys.stdout.write(formats.format_functional(f))
     return EXIT_OK
 
 
 def cmd_separate(args) -> int:
+    from .functionals import separate_points  # as in cmd_eval_star
     x = _one_vector(args.x)
     y = _one_vector(args.y)
     f = separate_points(x, y)
@@ -114,12 +120,14 @@ def cmd_separate(args) -> int:
 
 
 def cmd_sup_functionals(args) -> int:
+    from .functionals import pointwise_sup  # as in cmd_eval_star
     fs = [formats.parse_functional(_read(p)) for p in args.functionals]
     sys.stdout.write(formats.format_functional(pointwise_sup(fs)))
     return EXIT_OK
 
 
 def cmd_scalar_product(args) -> int:
+    from . import semialgebra  # as in cmd_eval_star
     f1 = _one_function(args.f1)
     f2 = _one_function(args.f2)
     print(format_scalar(semialgebra.scalar_product(f1, f2)))
@@ -127,6 +135,7 @@ def cmd_scalar_product(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from . import semialgebra  # as in cmd_eval_star
     phi = _one_function(args.phi)
     if args.weight is not None:
         weight = _one_function(args.weight)
@@ -137,12 +146,14 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_prop4(args) -> int:
+    from . import semialgebra  # as in cmd_eval_star
     x = _one_function(args.x)
     y = _one_function(args.y)
     return _print_report(semialgebra.check_prop4(x, y))
 
 
 def cmd_complete(args) -> int:
+    from . import order  # as in cmd_eval_star
     s = formats.parse_poset(_read(args.poset))
     # b-complete too: order.b_completion is dm_completion
     result = order.dm_completion(s)
@@ -167,6 +178,7 @@ def cmd_check_axioms(args) -> int:
 def cmd_check_alinear(args) -> int:
     import random  # only this verb and selftest draw samples; keep both out of start-up
     from . import selftest  # its random_vector and random_scalar; see cmd_selftest
+    from .functionals import check_a_linear  # as in cmd_eval_star
     f = formats.parse_functional(_read(args.functional))
     rng = random.Random(args.seed)
     tests = [selftest.random_vector(rng, f.dim) for _ in range(args.samples)]
@@ -175,6 +187,7 @@ def cmd_check_alinear(args) -> int:
 
 
 def cmd_check_graph(args) -> int:
+    from .functionals import LinearMapSample, graph_sup_closed  # as in cmd_eval_star
     inputs = formats.parse_vectors(_read(args.inputs))
     outputs = formats.parse_vectors(_read(args.outputs))
     if len(inputs) != len(outputs):
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extend a functional prescribed on span generators")
     p.add_argument("--generators", required=True)
     p.add_argument("--values", required=True, nargs="+")
-    p.add_argument("--dim", required=True, type=int)
+    p.add_argument("--dim", required=True, type=positive_int)
     p.set_defaults(run=cmd_extend)
 
     p = sub.add_parser("separate", help="separating functional for two distinct points")
@@ -275,9 +288,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except InconsistentValuesError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

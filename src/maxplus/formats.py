@@ -6,13 +6,15 @@ All formats are exact and round-trip: parse(print(v)) == v.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .order import COMPLETION_MAX_CUTS, FiniteIS
 from .scalars import format_scalar, parse_scalar
 from .semimodules import FinVector, _from_scalars
-from .semialgebra import AlgebraElement
-from .functionals import FunctionalRep
+
+if TYPE_CHECKING:  # each is imported where its type is built, so a verb loads only its own
+    from .functionals import FunctionalRep
+    from .order import FiniteIS
+    from .semialgebra import AlgebraElement
 
 
 class ParseError(ValueError):
@@ -93,6 +95,7 @@ def format_vectors(vs: List[FinVector]) -> str:
 
 def parse_functions(text: str) -> List[AlgebraElement]:
     """Same as the vector format, but the labels header is mandatory."""
+    from .semialgebra import AlgebraElement  # only the function verbs load it
     vectors = parse_vectors(text)
     if vectors[0].labels is None:
         raise ParseError("function files require a '# labels:' header", 1)
@@ -105,6 +108,7 @@ def format_functions(fs: List[AlgebraElement]) -> str:
 
 def parse_functional(text: str) -> FunctionalRep:
     """A '# functional-representer dim=N' header followed by one vector line."""
+    from .functionals import FunctionalRep  # the completion verbs never load it
     lines = [(i, l) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ParseError("empty functional file", 1)
@@ -130,6 +134,7 @@ def format_functional(f: FunctionalRep) -> str:
 
 def parse_poset(text: str) -> FiniteIS:
     """First line 'elements: a b c', then one 'a < b' cover relation per line."""
+    from .order import COMPLETION_MAX_CUTS, FiniteIS  # only the completion verbs load it
     lines = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1)
              if l.strip() and not l.strip().startswith("#")]
     if not lines:

@@ -8,7 +8,6 @@ distributivity are equalities, not float approximations.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .report import Frozen
@@ -16,6 +15,16 @@ from .report import Frozen
 _BOT = -1
 _FIN = 0
 _TOP = 1
+
+# fractions.Fraction once _load_fraction has run: no integral scalar needs it.
+# finite's type check loads it too, so a Fraction the caller built is taken.
+Fraction = None
+
+
+def _load_fraction():
+    global Fraction
+    from fractions import Fraction  # it and decimal cost ~3-5 ms of start-up; load on first need
+    return Fraction
 
 
 class NotInvertibleError(ValueError):
@@ -113,7 +122,8 @@ def finite(value) -> ExtendedScalar:
             raise ValueError(f"not a scalar literal: {value!r}")
         sign, whole, den, frac, exp = m.groups()
         if den is not None:
-            value = Fraction(int(sign + whole), int(den))  # int() bounds p and q
+            # int() bounds p and q
+            value = (Fraction or _load_fraction())(int(sign + whole), int(den))
         else:
             frac = frac or ""
             # an integer, decimal or exponent: value = n * 10**shift, and a negative
@@ -123,8 +133,8 @@ def finite(value) -> ExtendedScalar:
                 raise ValueError("literal has too many digits")
             if shift >= 0:
                 return ExtendedScalar(_FIN, int(sign + whole + frac) * 10 ** shift)
-            value = Fraction(int(sign + whole + frac), 10 ** -shift)
-    elif kind is not Fraction:
+            value = (Fraction or _load_fraction())(int(sign + whole + frac), 10 ** -shift)
+    elif kind is not (Fraction or _load_fraction()):
         raise TypeError(f"a finite scalar is an int, a Fraction or a str, not {kind.__name__}")
     return ExtendedScalar(_FIN, value.numerator if value.denominator == 1 else value)
 

@@ -104,7 +104,11 @@ def test_function_verbs_refuse_disagreeing_labels(files, capsys):
 
 
 @pytest.mark.parametrize("argv", [["selftest", "--samples", "-5"], ["selftest", "--dim", "0"],
-                                  ["check-alinear", "--functional", "f.fn", "--samples", "0"]])
+                                  ["check-alinear", "--functional", "f.fn", "--samples", "0"],
+                                  ["extend", "--generators", "g.vec", "--values", "0",
+                                   "--dim", "0"],
+                                  ["extend", "--generators", "g.vec", "--values", "0",
+                                   "--dim", "-1"]])
 def test_counts_must_be_positive(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,6 +1,5 @@
-"""Every name a src/maxplus module other than __init__ imports is used in that
-module, and every import inside a function, __init__'s too, says on its line why
-it is not at module level."""
+"""Every name a src/maxplus module imports is used in that module, and every
+import inside a function says on its line why it is not at module level."""
 
 import ast
 import pathlib
@@ -9,8 +8,6 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "maxplus"
 MODULES = sorted(SRC.glob("*.py"))
-# The package's __init__ imports names only to re-export them.
-REEXPORTS = SRC / "__init__.py"
 
 
 def unused_imports(source: str) -> list:
@@ -39,7 +36,7 @@ def unexplained_local_imports(source: str) -> list:
                    and "#" not in lines[node.lineno - 1]})
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p != REEXPORTS], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
