@@ -4,7 +4,8 @@ Exit codes: 0 for values and passing checks, 1 for a property violation,
 2 for usage, file, or parse errors, 3 for an internal error (a fault in this
 program, reported as "internal error: <type>: <message>" after its traceback).
 
-Each verb imports the modules it runs, so a process loads only those.
+Each verb imports the modules it runs, so a process loads only those, and main builds
+only the argument parser of the verb it runs.
 """
 
 from __future__ import annotations
@@ -205,87 +206,72 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+
+# verb -> (help, command, ((flag, add_argument keywords), ...)): the one list of verbs.
+VERBS = {
+    "eval-star": ("evaluate the dual functional of x at y", cmd_eval_star,
+                  (("--x", _REQUIRED), ("--y", _REQUIRED))),
+    "recover": ("recover a representer from a functional oracle", cmd_recover,
+                (("--functional", _REQUIRED),)),
+    "extend": ("extend a functional prescribed on span generators", cmd_extend,
+               (("--generators", _REQUIRED), ("--values", {"required": True, "nargs": "+"}),
+                ("--dim", {"required": True, "type": positive_int}))),
+    "separate": ("separating functional for two distinct points", cmd_separate,
+                 (("--x", _REQUIRED), ("--y", _REQUIRED))),
+    "sup-functionals": ("pointwise supremum of functionals", cmd_sup_functionals,
+                        (("--functionals", {"required": True, "nargs": "+"}),)),
+    "scalar-product": ("canonical scalar product of two functions", cmd_scalar_product,
+                       (("--f1", _REQUIRED), ("--f2", _REQUIRED))),
+    "integrate": ("idempotent integral of a function", cmd_integrate,
+                  (("--phi", _REQUIRED), ("--weight", {}))),
+    "prop4": ("check the dual-evaluation product identity", cmd_prop4,
+              (("--x", _REQUIRED), ("--y", _REQUIRED))),
+    "dm-complete": ("normal completion by cuts", cmd_complete, (("--poset", _REQUIRED),)),
+    "b-complete": ("bounded completion", cmd_complete, (("--poset", _REQUIRED),)),
+    "check-axioms": ("semiring axiom suite", cmd_check_axioms,
+                     (("--semiring", {"choices": ["boolean", "maxplus"], "required": True}),
+                      ("--sample", {"nargs": "*",
+                                    "default": ("-inf", "-1", "0", "2", "+inf")}))),
+    "check-alinear": ("sup-preservation check for a functional", cmd_check_alinear,
+                      (("--functional", _REQUIRED), ("--seed", {"type": int, "default": 0}),
+                       ("--samples", {"type": positive_int, "default": 6}))),
+    "check-graph": ("sup-closure check for a sampled graph", cmd_check_graph,
+                    (("--inputs", _REQUIRED), ("--outputs", _REQUIRED))),
+    "selftest": ("run every theorem suite and print a scoreboard", cmd_selftest,
+                 (("--seed", {"type": int, "default": 42}),
+                  ("--dim", {"type": positive_int, "default": 5}),
+                  ("--samples", {"type": positive_int, "default": 200}))),
+}
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of verb alone when it names one."""
     parser = _Parser(
         prog="maxplus",
         description="Exact max-plus linear algebra: functionals, completions, law checks.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("eval-star", help="evaluate the dual functional of x at y")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(run=cmd_eval_star)
-
-    p = sub.add_parser("recover", help="recover a representer from a functional oracle")
-    p.add_argument("--functional", required=True)
-    p.set_defaults(run=cmd_recover)
-
-    p = sub.add_parser("extend", help="extend a functional prescribed on span generators")
-    p.add_argument("--generators", required=True)
-    p.add_argument("--values", required=True, nargs="+")
-    p.add_argument("--dim", required=True, type=positive_int)
-    p.set_defaults(run=cmd_extend)
-
-    p = sub.add_parser("separate", help="separating functional for two distinct points")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(run=cmd_separate)
-
-    p = sub.add_parser("sup-functionals", help="pointwise supremum of functionals")
-    p.add_argument("--functionals", required=True, nargs="+")
-    p.set_defaults(run=cmd_sup_functionals)
-
-    p = sub.add_parser("scalar-product", help="canonical scalar product of two functions")
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
-    p.set_defaults(run=cmd_scalar_product)
-
-    p = sub.add_parser("integrate", help="idempotent integral of a function")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--weight")
-    p.set_defaults(run=cmd_integrate)
-
-    p = sub.add_parser("prop4", help="check the dual-evaluation product identity")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(run=cmd_prop4)
-
-    p = sub.add_parser("dm-complete", help="normal completion by cuts")
-    p.add_argument("--poset", required=True)
-    p.set_defaults(run=cmd_complete)
-
-    p = sub.add_parser("b-complete", help="bounded completion")
-    p.add_argument("--poset", required=True)
-    p.set_defaults(run=cmd_complete)
-
-    p = sub.add_parser("check-axioms", help="semiring axiom suite")
-    p.add_argument("--semiring", choices=["boolean", "maxplus"], required=True)
-    p.add_argument("--sample", nargs="*", default=["-inf", "-1", "0", "2", "+inf"])
-    p.set_defaults(run=cmd_check_axioms)
-
-    p = sub.add_parser("check-alinear", help="sup-preservation check for a functional")
-    p.add_argument("--functional", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=positive_int, default=6)
-    p.set_defaults(run=cmd_check_alinear)
-
-    p = sub.add_parser("check-graph", help="sup-closure check for a sampled graph")
-    p.add_argument("--inputs", required=True)
-    p.add_argument("--outputs", required=True)
-    p.set_defaults(run=cmd_check_graph)
-
-    p = sub.add_parser("selftest", help="run every theorem suite and print a scoreboard")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dim", type=positive_int, default=5)
-    p.add_argument("--samples", type=positive_int, default=200)
-    p.set_defaults(run=cmd_selftest)
-
+    if verb in VERBS:
+        # The usage line still names every verb, as "unrecognized arguments" prints it.
+        # Only here: with a metavar, "arguments are required" would name it, not "verb".
+        sub = parser.add_subparsers(dest="verb", required=True,
+                                    metavar="{" + ",".join(VERBS) + "}")
+        verbs = (verb,)
+    else:
+        sub = parser.add_subparsers(dest="verb", required=True)
+        verbs = VERBS
+    for name in verbs:
+        help_text, run, options = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only a leading verb is built alone; help, an option or "--" first builds them all.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except (UsageError, ValueError) as exc:

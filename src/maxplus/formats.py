@@ -113,7 +113,7 @@ def parse_functional(text: str) -> FunctionalRep:
     if not lines:
         raise ParseError("empty functional file", 1)
     lineno, header = lines[0]
-    m = re.match(r"#\s*functional-representer\s+dim=(\d+)$", header.strip())
+    m = re.match(r"#\s*functional-representer\s+dim=([0-9]+)$", header.strip())
     if m is None:
         raise ParseError("missing '# functional-representer dim=N' header", lineno)
     dim = int(m.group(1))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxplus as mp
-from maxplus import formats
+from maxplus import cli, formats
 from maxplus.cli import main
 from maxplus.report import MAX_SUBSET_ITEMS
 
@@ -341,6 +341,64 @@ def test_unknown_verb_exits_2():
     result = subprocess.run([sys.executable, "-m", "maxplus.cli", "frobnicate"],
                             capture_output=True, text=True)
     assert result.returncode == 2
+
+
+# Command lines that run a verb, and ones that print help or a usage error before, at
+# or after the verb; {x} is a vector file and {f} a functional file.
+PARSED = [
+    ["eval-star", "--x", "{x}", "--y", "{x}"],
+    ["recover", "--functional", "{f}"],
+    ["extend", "--generators", "{x}", "--values", "-1/2", "--dim", "3"],
+    ["check-axioms", "--semiring", "maxplus"],
+    ["check-alinear", "--functional", "{f}", "--seed", "7", "--samples", "2"],
+]
+HELP_AND_ERRORS = [
+    [], ["--help"], ["-h", "eval-star"], ["--x", "{x}", "eval-star"],
+    ["--", "eval-star", "--x", "{x}", "--y", "{x}"], ["frobnicate"],
+    *([verb, "--help"] for verb in cli.VERBS),
+    ["eval-star", "--x", "{x}", "--y", "{x}", "--z", "{x}"],
+    ["eval-star", "--x", "{x}", "--y", "{x}", "extra"],
+    ["eval-star", "--x", "{x}"],
+    ["recover", "--fun", "{f}"],
+]
+
+
+@pytest.fixture
+def argv_of(files):
+    paths = {"x": files("x.vec", "0 -1 2\n"),
+             "f": files("f.fn", "# functional-representer dim=3\n1 -2 +inf\n")}
+    return lambda shape: [arg.format(**paths) for arg in shape]
+
+
+def _ids(shapes):
+    return [" ".join(shape) or "no-arguments" for shape in shapes]
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("shape", PARSED + HELP_AND_ERRORS, ids=_ids(PARSED + HELP_AND_ERRORS))
+def test_main_prints_what_the_full_parser_prints(argv_of, monkeypatch, shape, columns):
+    argv = argv_of(shape)
+    monkeypatch.setenv("COLUMNS", columns)
+    one_verb = _main_in_process(argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    assert one_verb == _main_in_process(argv)
+
+
+@pytest.mark.parametrize("shape", PARSED, ids=_ids(PARSED))
+def test_one_verb_parser_reads_what_the_full_parser_reads(argv_of, shape):
+    argv = argv_of(shape)
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_one_verb_parser_holds_only_its_verb(capsys):
+    parser = cli.build_parser("eval-star")
+    for verb in cli.VERBS.keys() - {"eval-star"}:
+        with pytest.raises(SystemExit):
+            parser.parse_args([verb, "--help"])
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{verb}'" in err
+        assert re.search(r"\(choose from '?eval-star'?\)$", err.rstrip()), err
 
 
 @pytest.mark.parametrize("verb", ["check-alinear", "selftest"])

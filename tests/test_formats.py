@@ -75,6 +75,13 @@ def test_functional_header_required():
         formats.parse_functional("# functional-representer dim=2\n1 2 3\n")
 
 
+@pytest.mark.parametrize("digit", ["٣", "３"])  # ARABIC-INDIC and FULLWIDTH three
+def test_functional_header_takes_ascii_digits_only(digit):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_functional(f"# functional-representer dim={digit}\n1 2 3\n")
+    assert str(err.value) == "line 1: missing '# functional-representer dim=N' header"
+
+
 def test_poset_round_trip():
     text = "elements: a b c\na < c\nb < c\n"
     s = formats.parse_poset(text)
