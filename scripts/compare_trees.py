@@ -44,8 +44,9 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
 # Faults and commands whose output is meant to change against the tree compared to,
 # each mapped to the reason; empty when the two trees must agree everywhere.
 INTENDED = {
-    "recover-arabic-dim": "a functional header's dim takes ASCII digits only, as scalar "
-                          "tokens do; '\u0663' was read as dim 3",
+    "eval-star-not-utf8": "a file that is not UTF-8 is refused by a message naming it",
+    "check-alinear-past-bound": "--samples past report.MAX_SUBSET_ITEMS is refused by the "
+                                "parser, before any vector is drawn",
 }
 
 # Each fault is Python source run in the child before the selftest; it may
@@ -194,6 +195,10 @@ def _write_inputs(d: str, new_src: str) -> list:
     add("eval-star-missing", "eval-star", "--x", os.path.join(d, "nope.vec"), "--y", x)
     add("eval-star-parse-error", "eval-star", "--x", w("bad.vec", "1 oops 3\n"), "--y", x)
     add("eval-star-arabic-digit", "eval-star", "--x", x, "--y", w("arabic.vec", "1 \u0663 2\n"))
+    not_utf8 = os.path.join(d, "not-utf8.vec")
+    with open(not_utf8, "wb") as fh:
+        fh.write(b"\xff\xfe1 2\n")
+    add("eval-star-not-utf8", "eval-star", "--x", not_utf8, "--y", x)
     f = w("f.fn", "# functional-representer dim=3\n1 -2 +inf\n")
     add("recover", "recover", "--functional", f)
     add("recover-zero", "recover", "--functional",

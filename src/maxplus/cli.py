@@ -16,6 +16,7 @@ import sys
 from typing import List, Optional
 
 from . import formats
+from .report import MAX_SUBSET_ITEMS
 from .scalars import format_scalar, parse_scalar
 
 EXIT_OK = 0
@@ -52,7 +53,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -235,7 +236,8 @@ VERBS = {
                                     "default": ("-inf", "-1", "0", "2", "+inf")}))),
     "check-alinear": ("sup-preservation check for a functional", cmd_check_alinear,
                       (("--functional", _REQUIRED), ("--seed", {"type": int, "default": 0}),
-                       ("--samples", {"type": positive_int, "default": 6}))),
+                       ("--samples", {"type": positive_int, "default": 6, "metavar": "SAMPLES",
+                                      "choices": range(1, MAX_SUBSET_ITEMS + 1)}))),
     "check-graph": ("sup-closure check for a sampled graph", cmd_check_graph,
                     (("--inputs", _REQUIRED), ("--outputs", _REQUIRED))),
     "selftest": ("run every theorem suite and print a scoreboard", cmd_selftest,

@@ -39,9 +39,6 @@ class AlgebraElement(Frozen):
     def labels(self) -> Tuple[str, ...]:
         return self.vec.labels
 
-    def is_zero(self) -> bool:
-        return self.vec.is_zero()
-
     def is_proper(self) -> bool:
         """True when every value is finite (a bounded function, hence invertible)."""
         return all(map(ExtendedScalar.is_finite, self.vec.coords))

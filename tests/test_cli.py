@@ -309,6 +309,19 @@ def test_check_alinear(files, capsys):
     assert "sup-preservation: PASS" in out
 
 
+def test_check_alinear_samples_are_bounded_when_parsed(files, capsys):
+    fn = files("f.fn", "# functional-representer dim=3\n1 -2 +inf\n")
+    code, out, _ = run_cli(["check-alinear", "--functional", fn,
+                            "--samples", str(MAX_SUBSET_ITEMS)], capsys)
+    assert code == 0 and out.count("PASS") == 2
+    # past the subset bound the parser refuses the count, before any vector is drawn
+    for samples in (MAX_SUBSET_ITEMS + 1, 10 ** 6):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-alinear", "--functional", fn, "--samples", str(samples)])
+        assert exc.value.code == 2
+        assert f"argument --samples: invalid choice: {samples}" in capsys.readouterr().err
+
+
 def test_check_graph_pass_and_fail(files, capsys):
     ins = files("in.vec", "0 -inf\n-inf 0\n0 0\n")
     outs = files("out.vec", "0\n0\n0\n")
@@ -321,6 +334,14 @@ def test_check_graph_pass_and_fail(files, capsys):
                             "--outputs", bad_outs], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "x.vec"
+    path.write_bytes(b"\xff\xfe1 2\n")
+    code, out, err = run_cli(["eval-star", "--x", str(path), "--y", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_missing_file_exits_2(capsys):

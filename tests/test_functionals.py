@@ -422,6 +422,18 @@ def test_sup_preservation_joins_through_functionals_v_add(monkeypatch):
     assert not report.entry("sup-preservation").passed
 
 
+def test_homogeneity_skips_top_and_no_other_scalar():
+    # each map fails homogeneity at one infinite scalar only
+    xs = [mp.vector([0, 1]), mp.vector([2, -1])]
+    # +inf is skipped: this map sends every vector with a +inf coordinate to the zero
+    drop_top = lambda v: mp.zero_vector(v.dim) if any(c.is_top() for c in v.coords) else v
+    assert mp.check_a_linear(drop_top, xs, [mp.TOP]).all_passed
+    # -inf is checked: adding a constant sends -inf * x to the constant, not to the zero
+    shift = lambda v: mp.v_add(v, mp.vector([0, 0]))
+    assert mp.check_a_linear(shift, xs, [mp.BOTTOM]).entry("homogeneity").witness == (
+        mp.BOTTOM, xs[0])
+
+
 def test_map_changing_output_dimension_is_refused():
     grow = lambda v: mp.zero_vector(1) if v.is_zero() else v
     with pytest.raises(mp.DimensionMismatchError):

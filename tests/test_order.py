@@ -120,9 +120,25 @@ def test_direct_construction_refuses_what_is_not_a_partial_order():
             (("a", "b", "a"), refl, "duplicate element label 'a'"),
             (("a", "b", "c"), refl - {(2, 2)}, "relation is not reflexive"),
             (("a", "b", "c"), refl | {(0, 1), (1, 0)}, "relation is not antisymmetric"),
-            (("a", "b", "c"), refl | {(0, 1), (1, 2)}, "relation is not transitive")):
+            (("a", "b", "c"), refl | {(0, 1), (1, 2)}, "relation is not transitive"),
+            # a 3-cycle with no pair related both ways: antisymmetric, not transitive
+            (("a", "b", "c"), refl | {(0, 1), (1, 2), (2, 0)}, "relation is not transitive"),
+            (("a", "b", "a"), refl | {(0, 1), (1, 0)}, "duplicate element label 'a'")):
         with pytest.raises(mp.PosetError, match=message):
             FiniteIS(labels, frozenset(relation))
+
+
+def test_from_pairs_refuses_a_cycle_after_a_repeated_label():
+    # the closure of a < b < c < a relates every pair both ways
+    for labels, message in ((["a", "b", "c"], "relation is not antisymmetric"),
+                            (["a", "b", "c", "a"], "duplicate element label 'a'")):
+        with pytest.raises(mp.PosetError, match=message):
+            FiniteIS.from_pairs(labels, [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+def test_a_self_pair_is_accepted():
+    s = FiniteIS.from_pairs(["a", "b"], [("a", "a"), ("a", "b")])
+    assert s.relation == frozenset({(0, 0), (1, 1), (0, 1)})
 
 
 def test_direct_construction_refuses_pairs_outside_the_elements():

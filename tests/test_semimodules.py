@@ -299,6 +299,19 @@ def test_distributive_scalars_checks_the_empty_subset(monkeypatch):
     assert report.entry("generalized-distributive-scalars").witness == ([], x)
 
 
+def test_meet_law_exempts_the_all_top_vector_and_no_other(monkeypatch):
+    # Scaling is broken on the vector under test: k * x is the all-top vector for
+    # k = 0 and the zero for any other k, so the subset {0, 1} fails the meet law there.
+    scale = mp.semimodules.v_scale
+    for x, exempt in ((mp.top_vector(2), True), (mp.zero_vector(2), False)):
+        monkeypatch.setattr(mp.semimodules, "v_scale", lambda k, v, x=x: (
+            (mp.top_vector(2) if k == mp.finite(0) else mp.zero_vector(2)) if v == x
+            else scale(k, v)))
+        entry = mp.check_b_space_axioms([x], [mp.finite(0), mp.finite(1)]).entry("meet-law")
+        assert (entry.passed, entry.witness) == (
+            (True, None) if exempt else (False, ([mp.finite(0), mp.finite(1)], x)))
+
+
 def test_b_space_axioms_refuse_more_samples_than_the_subset_bound(monkeypatch):
     calls = []
     scale = mp.semimodules.v_scale
