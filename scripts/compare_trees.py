@@ -43,11 +43,7 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
 
 # Faults and commands whose output is meant to change against the tree compared to,
 # each mapped to the reason; empty when the two trees must agree everywhere.
-INTENDED = {
-    "eval-star-not-utf8": "a file that is not UTF-8 is refused by a message naming it",
-    "check-alinear-past-bound": "--samples past report.MAX_SUBSET_ITEMS is refused by the "
-                                "parser, before any vector is drawn",
-}
+INTENDED = {}
 
 # Each fault is Python source run in the child before the selftest; it may
 # refer to the modules st (selftest), sa (semialgebra), sm (semimodules), od (order).

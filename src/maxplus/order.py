@@ -8,7 +8,7 @@ to the completion routines (the completion is what restores the joins), but
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -92,11 +92,21 @@ class FiniteIS(Frozen):
         except ValueError:
             raise PosetError(f"unknown element {label!r}") from None
 
+    def _check_index(self, i: int) -> int:
+        """i itself when it indexes an element; IndexError names any other, a negative one too."""
+        if 0 <= i < len(self._up):
+            return i
+        raise IndexError(f"element index {i!r} is outside range({len(self._up)})")
+
     def leq(self, i: int, j: int) -> bool:
-        return bool(self._up[i] >> j & 1)
+        return bool(self._up[self._check_index(i)] >> self._check_index(j) & 1)
 
     def _bounds(self, subset: Iterable[int]) -> int:  # the upper bounds, as a bit-set
-        return reduce(int.__and__, (self._up[i] for i in subset), (1 << len(self.elements)) - 1)
+        up, n = self._up, len(self._up)
+        bits = (1 << n) - 1
+        for i in subset:
+            bits &= up[i if 0 <= i < n else self._check_index(i)]
+        return bits
 
     def upper_bounds(self, subset: Iterable[int]) -> FrozenSet[int]:
         return frozenset(_members(self._bounds(subset)))
@@ -117,6 +127,7 @@ class FiniteIS(Frozen):
         return all(a & b in self._element_of_up for a, b in combinations(self._up, 2))
 
     def down_set(self, j: int) -> FrozenSet[int]:
+        j = self._check_index(j)
         return frozenset(i for i, up in enumerate(self._up) if up >> j & 1)
 
     def top_index(self) -> Optional[int]:

@@ -122,8 +122,7 @@ def finite(value) -> ExtendedScalar:
             raise ValueError(f"not a scalar literal: {value!r}")
         sign, whole, den, frac, exp = m.groups()
         if den is not None:
-            # int() bounds p and q
-            value = (Fraction or _load_fraction())(int(sign + whole), int(den))
+            n, d = int(whole), int(den)  # int() bounds p and q
         else:
             frac = frac or ""
             # an integer, decimal or exponent: value = n * 10**shift, and a negative
@@ -131,9 +130,17 @@ def finite(value) -> ExtendedScalar:
             shift = int(exp or 0) - len(frac)
             if max(len(whole) + len(frac) + max(shift, 0), 1 - shift) > MAX_LITERAL_DIGITS:
                 raise ValueError("literal has too many digits")
+            n, d = int(whole + frac), 1
             if shift >= 0:
-                return ExtendedScalar(_FIN, int(sign + whole + frac) * 10 ** shift)
-            value = (Fraction or _load_fraction())(int(sign + whole + frac), 10 ** -shift)
+                n *= 10 ** shift
+            else:
+                d = 10 ** -shift
+        if sign == "-":
+            n = -n
+        # p/0 raises ZeroDivisionError here; an integral value is stored as an int
+        if n % d:
+            return ExtendedScalar(_FIN, (Fraction or _load_fraction())(n, d))
+        return ExtendedScalar(_FIN, n // d)
     elif kind is not (Fraction or _load_fraction()):
         raise TypeError(f"a finite scalar is an int, a Fraction or a str, not {kind.__name__}")
     return ExtendedScalar(_FIN, value.numerator if value.denominator == 1 else value)
@@ -197,29 +204,46 @@ def s_div_dual(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
 def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> ExtendedScalar:
     """big_sup(s_div(y, x) for y, x in zip(ys, xs) if not y.is_bottom()), in one pass.
 
-    The one loop over scalar pairs.  A finite pair adds its raw difference to a
-    running max; a pair holding an infinity goes through s_div, and +inf stops
-    the read as in big_sup.  As s_div(g, v) = s_mul(g, s_conj(v)), it reads a
-    span_sup column as well as star_eval.  Its conjugate s_conj(sup_div(gs, ys))
-    is big_inf(s_div_dual(y, g)), the greatest k with k*g <= y.
+    The one loop over scalar pairs.  A pair of int values keeps a running int
+    max of its differences.  A finite pair with a Fraction on either side is
+    compared over integers: with y = a/b and x = c/d from as_integer_ratio(),
+    y - x is the unreduced n/m = (a*d - c*b)/(b*d), and it beats the running
+    rational max num/den when n*den > num*m.  So the loop builds no Fraction:
+    the two maxima meet once, after it, and one Fraction is built only when
+    the rational max is the greater and is not integral.  A pair holding an
+    infinity goes through s_div, and +inf stops the read as in big_sup.  As
+    s_div(g, v) = s_mul(g, s_conj(v)), it reads a span_sup column as well as
+    star_eval.  Its conjugate s_conj(sup_div(gs, ys)) is
+    big_inf(s_div_dual(y, g)), the greatest k with k*g <= y.
     """
-    best = None
+    best = None      # the max over int pairs
+    num = den = 0    # the max over the other finite pairs, once den > 0
+    integer = int    # a local reads faster than the builtin in the per-pair int test
     for y, x in zip(ys, xs):
         if y is BOTTOM:  # nearly every -inf target is this object: skip it before reading kinds
             continue
-        if y.kind == _FIN and x.kind == _FIN:
-            d = y.q - x.q
+        a = y.q
+        c = x.q
+        # an infinity's q is None, never an int; from 3.11 on __class__ reads faster than type()
+        if a.__class__ is integer and c.__class__ is integer:
+            n = a - c
+            if best is None or n > best:
+                best = n
+        elif y.kind == _FIN and x.kind == _FIN:
+            (a, b), (c, d) = a.as_integer_ratio(), c.as_integer_ratio()
+            n, m = a * d - c * b, b * d
+            if not den or n * den > num * m:
+                num, den = n, m
         else:
             r = s_div(y, x)
             if r.kind == _TOP:
                 return r
-            continue  # the other residual of an infinite pair is -inf, the empty sup
-        if best is None or d > best:
-            best = d
-    if best is None:
-        return BOTTOM
-    # as in s_mul, an int skips finite's call: span_sup makes one sup_div call per column
-    return ExtendedScalar(_FIN, best) if type(best) is int else finite(best)
+            # the other residual of an infinite pair is -inf, the empty sup
+    if den and (best is None or num > best * den):
+        best, rest = divmod(num, den)
+        if rest:
+            return ExtendedScalar(_FIN, (Fraction or _load_fraction())(num, den))
+    return BOTTOM if best is None else ExtendedScalar(_FIN, best)
 
 
 def big_sup(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:

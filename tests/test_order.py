@@ -149,6 +149,20 @@ def test_direct_construction_refuses_pairs_outside_the_elements():
             FiniteIS(("a", "b"), frozenset(refl | extra))
 
 
+def test_order_queries_refuse_indices_outside_the_elements():
+    s = chain("a", "b")
+    for bad in (-1, 2):
+        message = f"^element index {bad} is outside range\\(2\\)$"
+        queries = (lambda: s.leq(bad, 1), lambda: s.leq(0, bad), lambda: s.upper_bounds([bad]),
+                   lambda: s.upper_bounds([0, bad]), lambda: s.join_index([bad]),
+                   lambda: s.join_index({1, bad}), lambda: s.down_set(bad))
+        for query in queries:
+            with pytest.raises(IndexError, match=message):
+                query()
+    assert s.leq(0, 1) and not s.leq(1, 0) and s.down_set(1) == {0, 1}
+    assert s.upper_bounds([0]) == {0, 1} and s.join_index([0, 1]) == 1
+
+
 def test_completion_bottom_below_everything():
     for s in all_small_posets(3):
         lattice = mp.dm_completion(s).completed

@@ -377,6 +377,38 @@ def test_inf_div_dual_matches_its_composition(pairs):
     assert same_scalar(mp.s_conj(sup_div(gs, ys)), inf_div_dual_oracle(ys, gs))
 
 
+# Rationals with denominators up to 10**7, as the rational-io benchmark draws them,
+# next to ints and both infinities; a pair (f + k, f) has an integral difference
+# between two non-integral values.
+wide_rationals = st.fractions(min_value=-10 ** 9, max_value=10 ** 9, max_denominator=10 ** 7)
+wide_scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP),
+                         st.integers(min_value=-10 ** 9, max_value=10 ** 9).map(mp.finite),
+                         wide_rationals.map(mp.finite))
+rational_pairs = st.lists(st.one_of(
+    st.tuples(wide_scalars, wide_scalars),
+    st.builds(lambda f, k: (mp.finite(f + k), mp.finite(f)), wide_rationals,
+              st.integers(min_value=-3, max_value=3))), min_size=1, max_size=12)
+
+
+@given(rational_pairs)
+def test_rational_residuals_match_their_composition(pairs):
+    ys, xs = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    want = sup_div_oracle(ys, xs)
+    assert same_scalar(sup_div(ys, xs), want)
+    assert same_scalar(mp.star_eval(mp.FinVector(xs), mp.FinVector(ys)), want)
+    # the projection coefficient of generator xs at target ys
+    assert same_scalar(mp.s_conj(sup_div(xs, ys)), inf_div_dual_oracle(ys, xs))
+
+
+def test_ratio_literals_are_read_over_integers():
+    assert same_scalar(mp.finite("6/3"), mp.finite(2))
+    assert same_scalar(mp.finite("-0/7"), mp.ONE)
+    with pytest.raises(ZeroDivisionError):
+        mp.finite("1/0")
+    with pytest.raises(ValueError, match="^bad scalar token '1/0'$"):
+        mp.parse_scalar("1/0")
+
+
 def test_conjugate_fixes_one_and_swaps_the_infinities():
     assert same_scalar(mp.s_conj(mp.ONE), mp.ONE)
     for a, b in ((mp.BOTTOM, mp.TOP), (mp.ExtendedScalar(mp.BOTTOM.kind), mp.TOP),
