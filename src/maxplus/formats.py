@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .scalars import format_scalar, parse_scalar
+from .scalars import _parse_tokens, format_scalar, parse_scalar
 from .semimodules import FinVector, _from_scalars
 
 if TYPE_CHECKING:  # each is imported where its type is built, so a verb loads only its own
@@ -32,7 +32,7 @@ def parse_vector_line(line: str, lineno: int = 1,
     if not tokens:
         raise ParseError("empty vector line", lineno)
     try:
-        coords = tuple(map(parse_scalar, tokens))
+        coords = _parse_tokens(tokens)
     except ValueError:
         # Columns are needed only to report the bad token.  \S+ splits as str.split
         # does, so this scan meets the token that failed and always raises.

@@ -36,7 +36,7 @@ def star_eval(x: FinVector, y: FinVector) -> ExtendedScalar:
     Closed form: the sup over coordinates of the residuals s_div(y_i, x_i),
     read in one pass by scalars.sup_div.  A -inf target imposes no
     constraint, so it is skipped before any arithmetic; evaluation on a unit
-    vector then costs one residual.
+    vector then computes one residual, but still reads all d pairs.
     """
     _join_labels(x, y)
     return sup_div(y.coords, x.coords)

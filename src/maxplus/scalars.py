@@ -109,9 +109,10 @@ def finite(value) -> ExtendedScalar:
     ``3``, ``-2.5``, ``7/3`` and ``1e-3`` are literals, while whitespace
     anywhere (``" 3"``, ``"3 / 4"``), underscores (``1_000``) and non-ASCII
     digits are not, and raise ValueError naming the token.  A literal needing
-    more than MAX_LITERAL_DIGITS digits is refused from its digit counts,
-    before any power of ten is built.  Any other type, float included, raises
-    TypeError.  Integral values are stored as int.
+    more than MAX_LITERAL_DIGITS digits, or a p/q with more in p or in q, is
+    refused from its digit counts, before any power of ten or int is built.
+    Any other type, float included, raises TypeError.  Integral values are
+    stored as int.
     """
     kind = type(value)
     if kind is int:
@@ -122,7 +123,9 @@ def finite(value) -> ExtendedScalar:
             raise ValueError(f"not a scalar literal: {value!r}")
         sign, whole, den, frac, exp = m.groups()
         if den is not None:
-            n, d = int(whole), int(den)  # int() bounds p and q
+            if len(whole) > MAX_LITERAL_DIGITS or len(den) > MAX_LITERAL_DIGITS:
+                raise ValueError("literal has too many digits")
+            n, d = int(whole), int(den)
         else:
             frac = frac or ""
             # an integer, decimal or exponent: value = n * 10**shift, and a negative
@@ -283,6 +286,45 @@ def parse_scalar(token: str) -> ExtendedScalar:
         return finite(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar token {token!r}") from exc
+
+
+_INFINITIES = {"-inf": BOTTOM, "+inf": TOP}
+
+
+def _parse_tokens(tokens: Iterable[str]) -> tuple:
+    """tuple(map(parse_scalar, tokens)) in one loop: the vector line reader's.
+
+    -inf and +inf are one dict lookup.  A token of ASCII [-+]?[0-9]+(/[0-9]+)?
+    with a nonzero denominator, no longer than MAX_LITERAL_DIGITS, is read with
+    int() and built past __init__ as finite would build it.  int() alone would
+    also take whitespace, "_", non-ASCII digits and a sign after the "/", hence
+    the guard.  Any other token goes through parse_scalar, so the grammar, its
+    refusals and their messages stay in finite.  A bad token raises ValueError.
+    """
+    coords = []
+    append = coords.append
+    infinity = _INFINITIES.get
+    new = object.__new__
+    for t in tokens:
+        a = infinity(t)
+        if a is None:
+            p, slash, q = t.partition("/")
+            # p[:1] in "-+" also holds for an empty p, whose empty digits then fail
+            if ((p[1:] if p[:1] in "-+" else p).isdecimal() and (not slash or q.isdecimal())
+                    and t.isascii() and len(t) <= MAX_LITERAL_DIGITS):
+                n = int(p)
+                if slash:
+                    d = int(q)
+                    if not d:
+                        parse_scalar(t)  # raises: a zero denominator is finite's refusal
+                    n = (Fraction or _load_fraction())(n, d) if n % d else n // d
+                a = new(ExtendedScalar)
+                _set_kind(a, _FIN)
+                _set_q(a, n)
+            else:
+                a = parse_scalar(t)
+        append(a)
+    return tuple(coords)
 
 
 def format_scalar(a: ExtendedScalar) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import maxplus as mp
+from maxplus import formats
 from maxplus.report import MAX_SUBSET_ITEMS
-from maxplus.scalars import sup_div
+from maxplus.scalars import MAX_LITERAL_DIGITS, sup_div
 from maxplus.semimodules import span_sup
 from _oracles import (greatest_scaling, inf_div_dual_oracle, literal_oracle, star_oracle,
                       sup_div_oracle, sup_of_products_oracle)
@@ -237,6 +239,51 @@ def test_format_then_parse_is_the_identity(a):
     assert back == a and type(back.q) is type(a.q)
 
 
+def _line_by_parse_scalar(line):
+    """The line reader as tuple(map(parse_scalar, tokens)): the scalars, or the message
+    and column of the first bad token."""
+    try:
+        return tuple(map(mp.parse_scalar, line.split()))
+    except ValueError:
+        for m in re.finditer(r"\S+", line):
+            try:
+                mp.parse_scalar(m.group())
+            except ValueError as exc:
+                return str(exc), m.start() + 1
+
+
+# Lines of literal tokens, with -inf and +inf a quarter of the time each.
+line_tokens = st.lists(st.one_of(st.just("-inf"), st.just("+inf"), literal_tokens,
+                                 literal_tokens), min_size=1, max_size=8)
+
+
+@given(line_tokens)
+@example(["1/0"])
+@example(["1/+2"])
+@example(["1/2/3"])
+@example(["+-1"])
+@example(["-0/7"])
+@example(["6/3"])
+@example(["007"])
+@example(["1_0"])
+@example(["\u0663"])
+@example(["-inf", "+6/2", "-0", "007", "7/3", "-2.5", ".5", "1e-3", "+inf"])
+@example(["1/2", "-inf", "2/-3", "0"])
+def test_line_reader_reads_as_parse_scalar_does(tokens):
+    line = " ".join(tokens)
+    if not line.split():
+        return  # an empty line has its own refusal
+    want = _line_by_parse_scalar(line)
+    if type(want[0]) is str:
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_vector_line(line)
+        assert str(err.value) == f"line 1, column {want[1]}: {want[0]}"
+    else:
+        got = formats.parse_vector_line(line).coords
+        assert got == want
+        assert [type(a.q) for a in got] == [type(a.q) for a in want]
+
+
 def test_finite_names_a_str_outside_the_grammar():
     for token in (" 3", "3 ", "3 / 4", "1_000", "\u0663", "", ".", "1.5/2", "e5", "--1", "inf"):
         with pytest.raises(ValueError, match=f"^not a scalar literal: {re.escape(repr(token))}$"):
@@ -267,6 +314,25 @@ def test_finite_bounds_literal_digits_as_parse_scalar_does():
         with pytest.raises(ValueError, match="literal has too many digits"):
             mp.vector([0, token])
     assert mp.finite("1e4000") == mp.parse_scalar("1e4000") == mp.finite(10 ** 4000)
+
+
+def test_ratio_literal_digits_are_bounded_by_max_literal_digits():
+    # With the interpreter's own bound on int() lifted, only MAX_LITERAL_DIGITS refuses.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        at, past = "1" * MAX_LITERAL_DIGITS, "1" * (MAX_LITERAL_DIGITS + 1)
+        for token in (past + "/3", "3/" + past, "-" + past + "/3", past, "-" + past):
+            with pytest.raises(ValueError, match="^literal has too many digits$"):
+                mp.finite(token)
+            with pytest.raises(ValueError, match=f"^bad scalar token {re.escape(repr(token))}$"):
+                mp.parse_scalar(token)
+            with pytest.raises(formats.ParseError, match="^line 1, column 3: bad scalar token"):
+                formats.parse_vector_line("0 " + token)
+        for token in (at + "/3", "-" + at + "/3", "3/" + at, "-" + at):
+            assert formats.parse_vector_line("0 " + token).coords[1] == mp.parse_scalar(token)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_finite_refuses_every_type_but_int_fraction_and_str():

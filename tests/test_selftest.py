@@ -80,3 +80,15 @@ def test_sampler_draws_the_randint_stream(seed):
     assert st.random_finite_vector(new, 7).coords == tuple(
         st.finite(old.randint(-10, 10)) for _ in range(7))
     assert new.getstate() == old.getstate()
+
+
+def test_a_suite_that_raises_fails_alone(monkeypatch, capsys):
+    def raises():  # the first suite, which draws nothing, so every later line is as pinned
+        raise ValueError("injected")  # reaching main, it would exit 2 with no scoreboard
+
+    monkeypatch.setattr(st, "suite_semiring_axioms", raises)
+    assert main(["selftest", "--seed", "42"]) == 1
+    want = SEED_42.replace(
+        "semiring-axioms: PASS (boolean carrier exhaustive + 5-element extended sample)",
+        "semiring-axioms: FAIL (raised ValueError: injected)")
+    assert capsys.readouterr().out == want.replace("overall: PASS", "overall: FAIL")
