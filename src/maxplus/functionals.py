@@ -11,9 +11,9 @@ import itertools
 from typing import Callable, Iterable, Sequence, Tuple, Union
 
 from .report import CheckReport, Frozen, fold_failures, refuse_past_subset_bound
-from .scalars import BOTTOM, ExtendedScalar, format_scalar, s_add, s_conj, s_mul, sup_div
+from .scalars import BOTTOM, ONE, ExtendedScalar, format_scalar, s_add, s_conj, s_mul, sup_div
 from .semimodules import (DimensionMismatchError, FinVector, _from_scalars, _join_labels,
-                          span_sup, unit_vector, v_add, v_inf, v_scale, zero_vector)
+                          span_sup, v_add, v_inf, v_scale, zero_vector)
 
 
 class ZeroFunctionalError(ValueError):
@@ -75,9 +75,15 @@ def recover_representer(f: Union[Oracle, FunctionalRep], probe_dim: int) -> FinV
     one oracle call per unit vector.  The recovery needs no re-check against
     those probes: star_eval(x, e_i) reads coordinate i alone, so it is
     s_conj(s_conj(v_i)), which is v_i for -inf, finite and +inf alike.  An
-    oracle value that is not an ExtendedScalar raises TypeError.
+    oracle value that is not an ExtendedScalar raises TypeError.  Each probe is
+    a fresh vector equal to unit_vector(i, probe_dim), built from one row.
     """
-    values = [f(unit_vector(i, probe_dim)) for i in range(probe_dim)]
+    row = [BOTTOM] * probe_dim
+    values = []
+    for i in range(probe_dim):
+        row[i] = ONE
+        values.append(f(_from_scalars(tuple(row))))
+        row[i] = BOTTOM
     _require_scalars(values)
     if all(v.is_bottom() for v in values):
         raise ZeroFunctionalError("zero functional has no representer")

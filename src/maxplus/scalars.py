@@ -47,7 +47,7 @@ class ExtendedScalar(Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kind, self.q) == (other.kind, other.q)
+        return self.kind == other.kind and self.q == other.q
 
     def __hash__(self) -> int:
         return hash((self.kind, self.q))
@@ -61,21 +61,35 @@ class ExtendedScalar(Frozen):
     def is_finite(self) -> bool:
         return self.kind == _FIN
 
-    def __lt__(self, other: "ExtendedScalar") -> bool:
-        if self.kind != other.kind:
-            return self.kind < other.kind
-        if self.kind == _FIN:
+    # The order: -inf, then the rationals by value, then +inf.  Each comparison
+    # reads the kinds, and the values only when both are finite; none calls another.
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.kind == _FIN and other.kind == _FIN:
             return self.q < other.q
-        return False
+        return self.kind < other.kind
 
-    def __le__(self, other: "ExtendedScalar") -> bool:
-        return not other < self
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.kind == _FIN and other.kind == _FIN:
+            return self.q <= other.q
+        return self.kind <= other.kind
 
-    def __gt__(self, other: "ExtendedScalar") -> bool:
-        return other < self
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.kind == _FIN and other.kind == _FIN:
+            return self.q > other.q
+        return self.kind > other.kind
 
-    def __ge__(self, other: "ExtendedScalar") -> bool:
-        return not self < other
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.kind == _FIN and other.kind == _FIN:
+            return self.q >= other.q
+        return self.kind >= other.kind
 
     def __repr__(self) -> str:
         return f"ExtendedScalar({_scalar_text(self)!r})"
@@ -159,8 +173,10 @@ def leq(a: ExtendedScalar, b: ExtendedScalar) -> bool:
 
 
 def s_add(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
-    """Idempotent addition: max in the extended order."""
-    return a if b < a else b
+    """Idempotent addition: max in the extended order, b on a tie."""
+    if a.kind == _FIN and b.kind == _FIN:
+        return a if b.q < a.q else b
+    return a if b.kind < a.kind else b
 
 
 def s_mul(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
@@ -250,24 +266,34 @@ def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> Exten
 
 
 def big_sup(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:
-    """Supremum; the empty supremum is -inf (the zero).  Stops reading at +inf."""
-    best = BOTTOM
+    """Supremum; the empty supremum is -inf (the zero).  Stops reading at +inf.
+
+    The first greatest element is returned, and BOTTOM itself when no element
+    is finite or +inf.
+    """
+    best = BOTTOM  # until a finite element replaces it; +inf returns at once
     for x in xs:
-        if best < x:
-            if x.kind == _TOP:
-                return x
-            best = x
+        if x.kind == _FIN:
+            if best is BOTTOM or best.q < x.q:
+                best = x
+        elif x.kind == _TOP:
+            return x
     return best
 
 
 def big_inf(xs: Iterable[ExtendedScalar]) -> ExtendedScalar:
-    """Infimum; the empty infimum is +inf.  Stops reading at -inf."""
-    best = TOP
+    """Infimum; the empty infimum is +inf.  Stops reading at -inf.
+
+    The first least element is returned, and TOP itself when no element is
+    finite or -inf.
+    """
+    best = TOP  # until a finite element replaces it; -inf returns at once
     for x in xs:
-        if x < best:
-            if x.kind == _BOT:
-                return x
-            best = x
+        if x.kind == _FIN:
+            if best is TOP or x.q < best.q:
+                best = x
+        elif x.kind == _BOT:
+            return x
     return best
 
 

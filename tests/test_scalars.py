@@ -13,8 +13,9 @@ from maxplus import formats
 from maxplus.report import MAX_SUBSET_ITEMS
 from maxplus.scalars import MAX_LITERAL_DIGITS, sup_div
 from maxplus.semimodules import span_sup
-from _oracles import (greatest_scaling, inf_div_dual_oracle, literal_oracle, star_oracle,
-                      sup_div_oracle, sup_of_products_oracle)
+from _oracles import (add_oracle, greatest_scaling, inf_div_dual_oracle, literal_oracle,
+                      order_key, star_oracle, sup_div_oracle, sup_of_products_oracle,
+                      v_leq_oracle)
 
 finites = st.fractions(min_value=-50, max_value=50, max_denominator=12).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -77,6 +78,49 @@ def test_big_sup_stops_reading_at_top():
 
 def test_big_inf_stops_reading_at_bottom():
     assert mp.big_inf(_read_until(mp.finite(1), mp.BOTTOM)) == mp.BOTTOM
+
+
+# The order kernels' inputs: conj_scalars, small ints and small Fractions, so that
+# equal values held by distinct objects are frequent, and -inf and +inf as the
+# module's objects or rebuilt from their kind.
+infinities = st.sampled_from([mp.BOTTOM, mp.TOP, mp.ExtendedScalar(mp.BOTTOM.kind),
+                              mp.ExtendedScalar(mp.TOP.kind)])
+order_scalars = st.one_of(conj_scalars, infinities,
+                          st.integers(min_value=-2, max_value=2).map(mp.finite),
+                          st.fractions(min_value=-2, max_value=2, max_denominator=3).map(mp.finite))
+
+
+@given(st.lists(st.tuples(order_scalars, order_scalars), max_size=6))
+def test_order_kernels_match_the_order_key(pairs):
+    for a, b in pairs:
+        ka, kb = order_key(a), order_key(b)
+        assert (a < b, a <= b, a > b, a >= b, a == b, a != b, mp.leq(a, b)) == (
+            ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb, ka != kb, ka <= kb)
+        total = mp.s_add(a, b)
+        assert total == add_oracle(a, b)
+        assert total is (a if kb < ka else b)  # b on a tie
+    xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+    for items in (xs, ys, xs + ys):
+        # the first greatest (least) item, or BOTTOM (TOP) itself when none is finite or +inf (-inf)
+        top = max(items, key=order_key, default=mp.BOTTOM)
+        bottom = min(items, key=order_key, default=mp.TOP)
+        assert mp.big_sup(items) is (mp.BOTTOM if top.is_bottom() else top)
+        assert mp.big_inf(items) is (mp.TOP if bottom.is_top() else bottom)
+    lows = [min(p, key=order_key) for p in pairs]
+    highs = [max(p, key=order_key) for p in pairs]
+    for x, y in ((xs, ys), (ys, xs), (lows, highs), (highs, lows)):
+        x, y = mp.FinVector(tuple(x)), mp.FinVector(tuple(y))
+        assert mp.v_leq(x, y) == v_leq_oracle(x, y)
+
+
+def test_ordering_a_scalar_against_another_type_raises():
+    one = mp.finite(1)
+    for compare in (lambda: 3 < one, lambda: one > 3, lambda: one <= 3, lambda: one < 3):
+        with pytest.raises(TypeError):
+            compare()
+    for order in (lambda: mp.s_add(one, 2), lambda: mp.leq(one, None)):
+        with pytest.raises((TypeError, AttributeError)):
+            order()
 
 
 def test_exact_rationals():
