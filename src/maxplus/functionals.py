@@ -38,7 +38,8 @@ def star_eval(x: FinVector, y: FinVector) -> ExtendedScalar:
     constraint, so it is skipped before any arithmetic; evaluation on a unit
     vector then computes one residual, but still reads all d pairs.
     """
-    _join_labels(x, y)
+    if x.labels is not y.labels or len(x.coords) != len(y.coords):
+        _join_labels(x, y)
     return sup_div(y.coords, x.coords)
 
 
@@ -159,7 +160,8 @@ def check_a_linear(map_fn: VectorMap,
     k * p(x) = p(k * x) is checked for the supplied scalars except +inf (the
     evaluation functionals are not +inf-homogeneous, matching the scalar-side
     caveat in the degenerate conventions).  More than report.MAX_SUBSET_ITEMS
-    test vectors are refused before map_fn is called.  A map_fn whose value on
+    test vectors, or test vectors whose dimensions or labels _join_labels
+    refuses, are refused before map_fn is called.  A map_fn whose value on
     the zero vector is neither an ExtendedScalar nor a FinVector raises
     TypeError.
     """
@@ -167,6 +169,7 @@ def check_a_linear(map_fn: VectorMap,
     if not test_vectors:
         raise ValueError("need at least one test vector")
     refuse_past_subset_bound(test_vectors)
+    _join_labels(*test_vectors)
     dim = test_vectors[0].dim
     report = CheckReport()
     zero_out = map_fn(zero_vector(dim))  # fixes the output algebra; -inf times it is the zero
@@ -206,11 +209,15 @@ def graph_sup_closed(g: LinearMapSample) -> CheckReport:
 
     A singleton is its own supremum, and closure under binary suprema gives
     closure under every finite one, so only pairs are examined; the first
-    violating pair is also the smallest violating subset.
+    violating pair is also the smallest violating subset.  The inputs, and the
+    outputs, are each joined by _join_labels before any pair is examined, so a
+    sample mixing dimensions or labelings is refused, never judged.
     """
     pairs = list(g.pairs)
     if not pairs:
         raise ValueError("empty graph sample")
+    _join_labels(*(p[0] for p in pairs))
+    _join_labels(*(p[1] for p in pairs))
     table = {p[0].coords: p[1].coords for p in pairs}
 
     def violations():

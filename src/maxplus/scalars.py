@@ -49,6 +49,11 @@ class ExtendedScalar(Frozen):
             return NotImplemented
         return self.kind == other.kind and self.q == other.q
 
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind != other.kind or self.q != other.q
+
     def __hash__(self) -> int:
         return hash((self.kind, self.q))
 
@@ -186,7 +191,12 @@ def s_mul(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
     if a.kind == _TOP or b.kind == _TOP:
         return TOP
     q = a.q + b.q
-    return ExtendedScalar(_FIN, q) if type(q) is int else finite(q)
+    if type(q) is not int:
+        return finite(q)
+    r = object.__new__(ExtendedScalar)  # past __init__, as _parse_tokens builds
+    _set_kind(r, _FIN)
+    _set_q(r, q)
+    return r
 
 
 def s_conj(a: ExtendedScalar) -> ExtendedScalar:
@@ -237,9 +247,10 @@ def sup_div(ys: Sequence[ExtendedScalar], xs: Sequence[ExtendedScalar]) -> Exten
     """
     best = None      # the max over int pairs
     num = den = 0    # the max over the other finite pairs, once den > 0
-    integer = int    # a local reads faster than the builtin in the per-pair int test
+    integer = int    # locals read faster than the builtin and the global in the per-pair tests
+    bottom = BOTTOM
     for y, x in zip(ys, xs):
-        if y is BOTTOM:  # nearly every -inf target is this object: skip it before reading kinds
+        if y is bottom:  # nearly every -inf target is this object: skip it before reading kinds
             continue
         a = y.q
         c = x.q

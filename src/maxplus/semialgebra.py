@@ -68,8 +68,13 @@ def point_mass(labels: Sequence[str], t: str) -> AlgebraElement:
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Pointwise multiplication (pointwise addition of values)."""
-    labels = _join_labels(a.vec, b.vec)
-    return AlgebraElement(_from_scalars(tuple(map(s_mul, a.vec.coords, b.vec.coords)), labels))
+    x, y = a.vec, b.vec
+    labels = x.labels
+    # an element is always labeled, and one labeling has one length: only a
+    # pair under two labeling objects needs the rule
+    if labels is not y.labels:
+        labels = _join_labels(x, y)
+    return AlgebraElement(_from_scalars(tuple(map(s_mul, x.coords, y.coords)), labels))
 
 
 def alg_inverse(a: AlgebraElement) -> AlgebraElement:

@@ -49,6 +49,11 @@ class FinVector(Frozen):
             return NotImplemented
         return (self.coords, self.labels) == (other.coords, other.labels)
 
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords != other.coords or self.labels != other.labels
+
     def __hash__(self) -> int:
         return hash((self.coords, self.labels))
 
@@ -108,6 +113,10 @@ def _join_labels(*xs: FinVector) -> Optional[Tuple[str, ...]]:
     Each vector, in order, must match the first labeled vector before it (the
     first vector, if none is labeled yet) in dimension and labels; that
     labeling is returned.  An empty family has no dimension and is refused.
+    A binary kernel whose two operands share one labeling object (both None,
+    or one tuple) and one dimension skips the call, as its answer is then
+    that labeling; every other pair, and every family, goes through here.
+    The subset-law checkers join each family they are given once, at their top.
     """
     if not xs:
         raise DimensionMismatchError("an empty family of vectors has no dimension")
@@ -124,8 +133,13 @@ def _join_labels(*xs: FinVector) -> Optional[Tuple[str, ...]]:
 
 
 def v_add(x: FinVector, y: FinVector) -> FinVector:
-    labels = _join_labels(x, y)
-    return _from_scalars(tuple(map(s_add, x.coords, y.coords)), labels)
+    labels = x.labels
+    if labels is not y.labels or len(x.coords) != len(y.coords):
+        labels = _join_labels(x, y)
+    v = object.__new__(FinVector)  # _from_scalars' body, one call fewer per result
+    _set_coords(v, tuple(map(s_add, x.coords, y.coords)))
+    _set_labels(v, labels)
+    return v
 
 
 def v_scale(k: ExtendedScalar, x: FinVector) -> FinVector:
@@ -133,7 +147,8 @@ def v_scale(k: ExtendedScalar, x: FinVector) -> FinVector:
 
 
 def v_leq(x: FinVector, y: FinVector) -> bool:
-    _join_labels(x, y)
+    if x.labels is not y.labels or len(x.coords) != len(y.coords):
+        _join_labels(x, y)
     return all(map(ExtendedScalar.__le__, x.coords, y.coords))
 
 
@@ -198,7 +213,8 @@ def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     """
     values = []
     for g in w.generators:
-        _join_labels(g, y)
+        if g.labels is not y.labels or len(g.coords) != len(y.coords):
+            _join_labels(g, y)
         values.append(sup_div(g.coords, y.coords))
     projection = _from_scalars(span_sup(values, w.generators, y.dim).coords, y.labels)
     return projection, projection.coords == y.coords
@@ -216,8 +232,9 @@ def check_b_space_axioms(samples: Sequence[FinVector],
     scalar-subset laws meet at most n states per vector.  The two scalar-subset
     laws loop over the vectors outside and the subsets inside; as they hold on
     every valid input, that order shows only in the witness of a broken
-    operation.  More than report.MAX_SUBSET_ITEMS scalars or samples are
-    refused before any law runs.
+    operation.  More than report.MAX_SUBSET_ITEMS scalars or samples, and
+    samples whose dimensions or labels _join_labels refuses, are refused
+    before any law runs.
     """
     samples = list(samples)
     scalars = list(scalars)
@@ -225,6 +242,7 @@ def check_b_space_axioms(samples: Sequence[FinVector],
         raise ValueError("need at least one sample vector")
     for items in (scalars, samples):
         refuse_past_subset_bound(items)
+    _join_labels(*samples)
     zero = zero_vector(samples[0].dim)
     report = CheckReport()
 

@@ -445,6 +445,16 @@ def test_a_linearity_refuses_a_map_whose_values_are_neither_scalars_nor_vectors(
         mp.check_a_linear(lambda v: 0, [mp.vector([0, 1])])
 
 
+def test_a_linearity_refuses_a_family_of_mixed_dimensions_or_labels():
+    # the map would fail sup-preservation on the empty subset: the refusal comes first
+    for tests, message in (
+            ([mp.vector([1, 2]), mp.vector([1, 2, 3])], "dimension mismatch: 2 vs 3"),
+            ([mp.vector([1, 2], ["a", "b"]), mp.vector([1, 2], ["b", "a"])],
+             "coordinate labels disagree")):
+        with pytest.raises(mp.DimensionMismatchError, match=f"^{message}$"):
+            mp.check_a_linear(lambda x: mp.ONE, tests)
+
+
 def test_a_linearity_subset_bound():
     tests = [mp.vector([i]) for i in range(MAX_SUBSET_ITEMS)]
     f = mp.FunctionalRep(mp.vector([0]))
@@ -479,6 +489,16 @@ def test_graph_missing_sup_pair_reported():
     entry = report.entry("graph-sup-closed")
     assert not entry.passed
     assert entry.witness is not None
+
+
+def test_graph_refuses_mixed_dimensions_before_judging_a_pair():
+    # the first pair violates closure, and a third input or output has another dimension
+    line = [mp.vector([0, mp.BOTTOM]), mp.vector([mp.BOTTOM, 0])]
+    for inputs, outputs in (
+            (line + [mp.vector([1, 2, 3])], [mp.vector([0])] * 3),
+            (line + [mp.vector([5, 5])], [mp.vector([0])] * 2 + [mp.vector([1, 2])])):
+        with pytest.raises(mp.DimensionMismatchError, match="^dimension mismatch: "):
+            mp.graph_sup_closed(LinearMapSample.of(zip(inputs, outputs)))
 
 
 def test_graph_singleton_closed():

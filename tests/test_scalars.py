@@ -24,6 +24,17 @@ conj_scalars = st.one_of(scalars, st.sampled_from([mp.BOTTOM.kind, mp.TOP.kind])
     mp.ExtendedScalar))
 
 
+# conj_scalars, and an integral value stored as a Fraction, which equals its int
+ne_scalars = st.one_of(conj_scalars,
+                       st.integers(-3, 3).map(lambda n: mp.ExtendedScalar(0, Fraction(n))))
+
+
+@given(ne_scalars, ne_scalars)
+def test_ne_is_the_negation_of_eq(a, b):
+    assert (a != b) is (not a == b)
+    assert (a != a) is False
+
+
 def test_add_is_max():
     assert mp.s_add(mp.finite(3), mp.finite(5)) == mp.finite(5)
 

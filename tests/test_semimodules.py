@@ -329,6 +329,19 @@ def test_b_space_axioms_refuse_more_samples_than_the_subset_bound(monkeypatch):
         assert calls == []
 
 
+def test_b_space_axioms_refuse_a_mixed_family_before_any_law(monkeypatch):
+    calls = []
+    scale = mp.semimodules.v_scale
+    monkeypatch.setattr(mp.semimodules, "v_scale", lambda k, x: calls.append(k) or scale(k, x))
+    for samples, message in (
+            ([mp.vector([0, 1]), mp.vector([0, 1, 2])], "dimension mismatch: 2 vs 3"),
+            ([mp.vector([0, 1], ["a", "b"]), mp.vector([0, 1], ["b", "a"])],
+             "coordinate labels disagree")):
+        with pytest.raises(mp.DimensionMismatchError, match=f"^{message}$"):
+            mp.check_b_space_axioms(samples, [mp.finite(0)])
+    assert calls == []
+
+
 def test_labels_flow_through_operations():
     x = mp.vector([1, 2], labels=["a", "b"])
     y = mp.vector([0, 3], labels=["a", "b"])
@@ -429,3 +442,56 @@ def test_v_leq_matches_its_oracle(xy):
     x, y = xy
     assert mp.v_leq(x, y) == v_leq_oracle(x, y)
     assert mp.v_leq(x, mp.v_add(x, y))
+
+
+def refusal(fn, *args):
+    """None when fn returns, else the type and message of the ValueError it raised."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def kernel_pairs(draw, labeled, kind):
+    """Vectors of dims 2-3.  The first is unlabeled or labeled a b c; the second carries
+    the first's own labeling object, an equal copy of it, None, or c b a (each labeling
+    cut to its vector's dimension), so both sides of the kernels' identity test, and
+    every refusal of _join_labels, are reached."""
+    dx, dy = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    tx = ("a", "b", "c")[:dx] if labeled else None
+    if labeled and kind in ("own", "copy"):
+        dy = dx
+    ty = {"own": tx, "copy": tx and tuple(list(tx)), "none": None,
+          "other": ("c", "b", "a")[:dy]}[kind]
+    return tuple(mp.FinVector(draw(st.lists(scalars, min_size=d, max_size=d)), t)
+                 for d, t in ((dx, tx), (dy, ty)))
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("kind", ["own", "copy", "none", "other"])
+@given(st.data())
+def test_binary_kernels_join_labels_as_the_rule_does(labeled, kind, data):
+    x, y = data.draw(kernel_pairs(labeled, kind))
+    want = refusal(_join_labels, x, y)
+    kernels = [mp.v_add, mp.v_leq, mp.star_eval,
+               lambda x, y: mp.project_onto_span(y, mp.SpanBasis((x,)))]
+    both = x.labels is not None and y.labels is not None
+    if both:  # an algebra element is always labeled
+        kernels.append(lambda x, y: mp.alg_mul(mp.AlgebraElement(x), mp.AlgebraElement(y)))
+    for kernel in kernels:
+        assert refusal(kernel, x, y) == want
+    if want is None:
+        labels = _join_labels(x, y)
+        assert mp.v_add(x, y).labels == labels
+        assert mp.project_onto_span(y, mp.SpanBasis((x,)))[0].labels == y.labels
+        if both:
+            assert mp.alg_mul(mp.AlgebraElement(x), mp.AlgebraElement(y)).labels == labels
+
+
+@given(family_vectors, family_vectors)
+def test_vector_ne_is_the_negation_of_eq(x, y):
+    for a, b in ((x, y), (x, mp.FinVector(list(x.coords), x.labels)), (x, mp.FinVector(x.coords))):
+        assert (a != b) is (not a == b)
+    assert x != (x.coords, x.labels) and x.__ne__(x.coords) is NotImplemented

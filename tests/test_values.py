@@ -25,6 +25,7 @@ def check_value(a, same, other, fields, text, frozen=True):
     assert a != other and not a == other
     values = tuple(getattr(a, f) for f in fields)
     assert a != values and a.__eq__(values) is NotImplemented
+    assert a.__ne__(values) is NotImplemented
     assert repr(a) == text
     if frozen:
         assert hash(a) == hash(same) == hash(values)
@@ -53,6 +54,7 @@ def test_extended_scalar():
     check_value(mp.TOP, mp.ExtendedScalar(1), mp.BOTTOM, ("kind", "q"),
                 "ExtendedScalar('+inf')")
     assert mp.finite(3) != 3 and mp.ExtendedScalar(0, 3) == mp.finite(3)
+    assert mp.finite(1) != 1 and mp.BOTTOM != None  # noqa: E711, the reflected test
 
 
 def test_fin_vector():
