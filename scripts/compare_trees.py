@@ -45,10 +45,7 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
 # each mapped to the reason; empty when the two trees must agree everywhere.  An
 # entry holds against its change's base commit only: once that change is in, the
 # base and the new tree agree there, so the next change empties INTENDED again.
-INTENDED = {
-    "check-graph-mixed-dims": "a sample mixing dimensions is refused before any pair is judged: "
-                              "exit 1 (FAIL on its first pair) -> exit 2",
-}
+INTENDED = {}
 
 # Each fault is Python source run in the child before the selftest; it may
 # refer to the modules st (selftest), sa (semialgebra), sm (semimodules), od (order).

@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .scalars import _parse_tokens, format_scalar, parse_scalar
+from .scalars import MAX_LITERAL_DIGITS, _parse_tokens, format_scalar, parse_scalar
 from .semimodules import FinVector, _from_scalars
 
 if TYPE_CHECKING:  # each is imported where its type is built, so a verb loads only its own
@@ -116,6 +116,8 @@ def parse_functional(text: str) -> FunctionalRep:
     m = re.match(r"#\s*functional-representer\s+dim=([0-9]+)$", header.strip())
     if m is None:
         raise ParseError("missing '# functional-representer dim=N' header", lineno)
+    if len(m.group(1)) > MAX_LITERAL_DIGITS:  # int() would refuse it, naming no line
+        raise ParseError(f"declared dim has more than {MAX_LITERAL_DIGITS} digits", lineno)
     dim = int(m.group(1))
     # unstripped, so a bad token's column counts from the line start
     body = [(i, l) for i, l in lines[1:] if not l.lstrip().startswith("#")]

@@ -66,8 +66,8 @@ class ExtendedScalar(Frozen):
     def is_finite(self) -> bool:
         return self.kind == _FIN
 
-    # The order: -inf, then the rationals by value, then +inf.  Each comparison
-    # reads the kinds, and the values only when both are finite; none calls another.
+    # The order: -inf, the rationals by value, +inf.  a > b runs b < a, a >= b runs b <= a;
+    # s_add, big_sup, big_inf and sup_div restate the order (CHANGES.md's fast-path ledger).
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -81,20 +81,6 @@ class ExtendedScalar(Frozen):
         if self.kind == _FIN and other.kind == _FIN:
             return self.q <= other.q
         return self.kind <= other.kind
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.kind == _FIN and other.kind == _FIN:
-            return self.q > other.q
-        return self.kind > other.kind
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.kind == _FIN and other.kind == _FIN:
-            return self.q >= other.q
-        return self.kind >= other.kind
 
     def __repr__(self) -> str:
         return f"ExtendedScalar({_scalar_text(self)!r})"

@@ -113,10 +113,9 @@ def _join_labels(*xs: FinVector) -> Optional[Tuple[str, ...]]:
     Each vector, in order, must match the first labeled vector before it (the
     first vector, if none is labeled yet) in dimension and labels; that
     labeling is returned.  An empty family has no dimension and is refused.
-    A binary kernel whose two operands share one labeling object (both None,
-    or one tuple) and one dimension skips the call, as its answer is then
-    that labeling; every other pair, and every family, goes through here.
-    The subset-law checkers join each family they are given once, at their top.
+    v_add and star_eval alone skip the call, when both operands share one
+    labeling object and one dimension (CHANGES.md's fast-path ledger says why);
+    the subset-law checkers join each family they are given once, at their top.
     """
     if not xs:
         raise DimensionMismatchError("an empty family of vectors has no dimension")
@@ -147,8 +146,7 @@ def v_scale(k: ExtendedScalar, x: FinVector) -> FinVector:
 
 
 def v_leq(x: FinVector, y: FinVector) -> bool:
-    if x.labels is not y.labels or len(x.coords) != len(y.coords):
-        _join_labels(x, y)
+    _join_labels(x, y)
     return all(map(ExtendedScalar.__le__, x.coords, y.coords))
 
 
@@ -213,8 +211,7 @@ def project_onto_span(y: FinVector, w: SpanBasis) -> Tuple[FinVector, bool]:
     """
     values = []
     for g in w.generators:
-        if g.labels is not y.labels or len(g.coords) != len(y.coords):
-            _join_labels(g, y)
+        _join_labels(g, y)
         values.append(sup_div(g.coords, y.coords))
     projection = _from_scalars(span_sup(values, w.generators, y.dim).coords, y.labels)
     return projection, projection.coords == y.coords

@@ -166,6 +166,8 @@ SHAPE_REFUSALS = [
      "line 2: labels header must precede the vectors"),
     (["recover", "--functional", "{0}"], ("# functional-representer dim=2\n0 0\n1 1\n",),
      "line 1: functional files contain exactly one representer line"),
+    (["recover", "--functional", "{0}"], ("# functional-representer dim=" + "9" * 4301 + "\n0\n",),
+     "line 1: declared dim has more than 4300 digits"),
 ]
 
 

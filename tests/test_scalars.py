@@ -126,7 +126,8 @@ def test_order_kernels_match_the_order_key(pairs):
 
 def test_ordering_a_scalar_against_another_type_raises():
     one = mp.finite(1)
-    for compare in (lambda: 3 < one, lambda: one > 3, lambda: one <= 3, lambda: one < 3):
+    for compare in (lambda: 3 < one, lambda: one > 3, lambda: one <= 3, lambda: one < 3,
+                    lambda: one >= 3, lambda: 3 > one, lambda: 3 >= one, lambda: 3 <= one):
         with pytest.raises(TypeError):
             compare()
     for order in (lambda: mp.s_add(one, 2), lambda: mp.leq(one, None)):
