@@ -6,6 +6,7 @@ All formats are exact and round-trip: parse(print(v)) == v.
 from __future__ import annotations
 
 import re
+import sys
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .scalars import MAX_LITERAL_DIGITS, _parse_tokens, format_scalar, parse_scalar
@@ -116,8 +117,11 @@ def parse_functional(text: str) -> FunctionalRep:
     m = re.match(r"#\s*functional-representer\s+dim=([0-9]+)$", header.strip())
     if m is None:
         raise ParseError("missing '# functional-representer dim=N' header", lineno)
-    if len(m.group(1)) > MAX_LITERAL_DIGITS:  # int() would refuse it, naming no line
-        raise ParseError(f"declared dim has more than {MAX_LITERAL_DIGITS} digits", lineno)
+    # int() would refuse a longer one, naming no line; a program may lower its limit (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # from Python 3.10.7
+    digits = min(limit or MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS)
+    if len(m.group(1)) > digits:
+        raise ParseError(f"declared dim has more than {digits} digits", lineno)
     dim = int(m.group(1))
     # unstripped, so a bad token's column counts from the line start
     body = [(i, l) for i, l in lines[1:] if not l.lstrip().startswith("#")]

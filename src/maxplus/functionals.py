@@ -220,14 +220,13 @@ def graph_sup_closed(g: LinearMapSample) -> CheckReport:
     _join_labels(*(p[1] for p in pairs))
     table = {p[0].coords: p[1].coords for p in pairs}
 
-    def violations():
+    def violations():  # the families are joined, so each pair's sups join coordinate tuples
         for subset in itertools.combinations(pairs, 2):
             (x, fx), (y, fy) = subset
-            sup_in, sup_out = v_add(x, y), v_add(fx, fy)
-            expected = table.get(sup_in.coords)
+            expected = table.get(tuple(map(s_add, x.coords, y.coords)))
             if expected is None:
                 yield subset, "supremum pair absent from the sample"
-            elif expected != sup_out.coords:
+            elif expected != tuple(map(s_add, fx.coords, fy.coords)):
                 yield subset, "supremum of outputs disagrees with the sampled output"
 
     report = CheckReport()

@@ -18,13 +18,15 @@ class Record:
     The value classes are written on it in place of @dataclass, whose
     decoration runs at every import of the package.  As with a dataclass, a
     record equals only a record of its own class, a mutable one is unhashable,
-    and repr names each field.  A "__dict__" slot is not a field.
+    and repr names each field.  A "__dict__" slot is not a field.  A class
+    may declare _fields itself, naming one that is not a slot.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

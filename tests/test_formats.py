@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,24 @@ def test_functional_header_takes_ascii_digits_only(digit):
     with pytest.raises(formats.ParseError) as err:
         formats.parse_functional(f"# functional-representer dim={digit}\n1 2 3\n")
     assert str(err.value) == "line 1: missing '# functional-representer dim=N' header"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int() digits")
+def test_functional_header_dim_is_bounded_by_a_lowered_int_limit():
+    # int() would refuse the header with Python's own ValueError, naming no line
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for digits in (641, 700):
+            with pytest.raises(formats.ParseError) as err:
+                formats.parse_functional(f"\n# functional-representer dim={'1' * digits}\n0\n")
+            assert str(err.value) == "line 2: declared dim has more than 640 digits"
+        # at the limit the dim is read, and it disagrees with the representer line
+        with pytest.raises(formats.ParseError, match="^line 3: declared dim=1{640} but"):
+            formats.parse_functional(f"\n# functional-representer dim={'1' * 640}\n0\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_poset_round_trip():

@@ -534,6 +534,24 @@ def test_graph_check_matches_subset_oracle(inputs, functional, data):
     assert mp.graph_sup_closed(LinearMapSample.of(pairs)).lines() == oracle_lines(pairs)
 
 
+def relabeled(vectors, labels, modes):
+    """Each vector with labels: the shared tuple, an equal copy of it, or None."""
+    pick = {"shared": lambda: labels, "copy": lambda: tuple(list(labels)), "none": lambda: None}
+    return [mp.FinVector(v.coords, pick[mode]()) for v, mode in zip(vectors, modes)]
+
+
+@given(st.lists(graph_vectors, min_size=1, max_size=8, unique_by=lambda v: v.coords),
+       st.data())
+def test_graph_check_matches_subset_oracle_on_labeled_samples(inputs, data):
+    # the check joins labels once per family and then adds bare coordinate tuples
+    modes = st.lists(st.sampled_from(["shared", "copy", "none"]),
+                     min_size=len(inputs), max_size=len(inputs))
+    outputs = data.draw(st.lists(graph_vectors, min_size=len(inputs), max_size=len(inputs)))
+    pairs = list(zip(relabeled(inputs, ("a", "b"), data.draw(modes)),
+                     relabeled(outputs, ("u", "v"), data.draw(modes))))
+    assert mp.graph_sup_closed(LinearMapSample.of(pairs)).lines() == oracle_lines(pairs)
+
+
 def test_graph_check_has_no_pair_cap():
     chain = [(mp.vector([k, 2 * k]), mp.vector([k])) for k in range(20)]
     assert mp.graph_sup_closed(LinearMapSample.of(chain)).all_passed

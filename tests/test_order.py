@@ -1,6 +1,10 @@
+import pickle
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus import formats, order
@@ -228,7 +232,7 @@ def test_crown_completes_to_oracle_cuts():
 def test_completion_at_the_cut_bound():
     assert order.COMPLETION_MAX_CUTS == 256
     s = crown(8)
-    cuts = order._enumerate_cuts(s)
+    cuts = [frozenset(order._members(c)) for c in order._enumerate_cuts(s)]  # int bit-sets
     lattice = mp.dm_completion(s).completed
     assert len(cuts) == len(lattice.elements) == 256
     assert lattice.relation == inclusion_relation(cuts)
@@ -265,6 +269,54 @@ def test_from_pairs_matches_closure_oracle_on_random_dags():
         labels = [f"e{i}" for i in range(n)]
         s = FiniteIS.from_pairs(labels, [(labels[i], labels[j]) for i, j in edges])
         assert s.relation == closure_oracle(n, edges)
+
+
+def built(make):
+    """make() and no message, or None and the PosetError message it raised."""
+    try:
+        return make(), None
+    except mp.PosetError as exc:
+        return None, str(exc)
+
+
+@given(st.data())
+def test_from_pairs_matches_construction_from_the_closure(data):
+    n = data.draw(st.integers(0, 7), label="n")
+    labels = [f"e{i}" for i in range(n)]
+    if n >= 2 and data.draw(st.integers(0, 3), label="repeat") == 0:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        labels[j] = labels[i]
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=12) if n else st.just([]), label="pairs")
+    if data.draw(st.booleans(), label="acyclic"):  # each pair goes up a random linear order
+        rank = data.draw(st.permutations(range(n)))
+        pairs = [(i, j) if rank[i] <= rank[j] else (j, i) for i, j in pairs]
+    got, message = built(lambda: FiniteIS.from_pairs(labels, [(labels[i], labels[j])
+                                                               for i, j in pairs]))
+    # the relation, its pairs inserted in (i, j) ascending order
+    want, want_message = built(lambda: FiniteIS(tuple(labels),
+                                                frozenset(sorted(closure_oracle(n, pairs)))))
+    assert message == want_message
+    if want is None:
+        return
+    assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+    assert got._up == want._up and mp.dm_completion(got) == mp.dm_completion(want)
+    # a frozenset's repr may change across pickle, so each round trip is compared with want's
+    want_back = pickle.loads(pickle.dumps(want))
+    for s in (got, FiniteIS.from_pairs(labels, [(labels[i], labels[j]) for i, j in pairs])):
+        back = pickle.loads(pickle.dumps(s))  # the second s is pickled before its relation is read
+        assert back == s == want and back.relation == s.relation == want.relation
+        assert repr(back) == repr(want_back) and hash(back) == hash(want)
+
+
+def test_thousand_element_chain_and_antichain_build_in_bounded_time():
+    labels = [f"e{i}" for i in range(1000)]
+    start = time.perf_counter()
+    c, a = FiniteIS.chain(labels), FiniteIS.antichain(labels)
+    assert c.leq(0, 999) and not c.leq(999, 0) and c.leq(500, 500)
+    assert c.top_index() == 999 and c.bottom_index() == 0
+    assert not a.leq(0, 1) and a.leq(7, 7) and a.top_index() is None
+    assert time.perf_counter() - start < 1.0  # a loose bound; both take a few ms
 
 
 def queries(s):
