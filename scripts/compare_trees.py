@@ -45,12 +45,7 @@ SUITES = ("semiring-axioms", "b-space-axioms", "dm-completion", "theorem-1-round
 # each mapped to the reason; empty when the two trees must agree everywhere.  An
 # entry holds against its change's base commit only: once that change is in, the
 # base and the new tree agree there, so the next change empties INTENDED again.
-INTENDED = {
-    "closure-adds-nothing": "graph_sup_closed joins coordinate tuples with s_add and no longer "
-                            "calls v_add, so only the sample's construction sees the fault: "
-                            "proposition-3 now judges it, mostly FAIL with a witness, where it "
-                            "printed 'non-sup-closed sample was not reported'",
-}
+INTENDED = {}
 
 # Each fault is Python source run in the child before the selftest; it may
 # refer to the modules st (selftest), sa (semialgebra), sm (semimodules), od (order).

@@ -154,9 +154,9 @@ def check_a_linear(map_fn: VectorMap,
                    scalars: Sequence[ExtendedScalar] = ()) -> CheckReport:
     """Check sup-preservation over every subset of the test vectors, plus homogeneity.
 
-    Subsets are folded by report.fold_failures, so map_fn runs once on the zero
-    vector, once per test vector and once per distinct pair (join of a subset,
-    join of its images), not once per subset.  Scalar homogeneity
+    Subsets are folded by report.fold_failures, so map_fn runs twice on the
+    zero vector and on each test vector, and once per distinct pair (join of a
+    subset, join of its images), not once per subset.  Scalar homogeneity
     k * p(x) = p(k * x) is checked for the supplied scalars except +inf (the
     evaluation functionals are not +inf-homogeneous, matching the scalar-side
     caveat in the degenerate conventions).  More than report.MAX_SUBSET_ITEMS
@@ -178,11 +178,12 @@ def check_a_linear(map_fn: VectorMap,
                         "not an ExtendedScalar or a FinVector")
     out_add, out_scale = ((s_add, s_mul) if isinstance(zero_out, ExtendedScalar)
                           else (v_add, v_scale))
-    report.record_first("sup-preservation", fold_failures(
-        test_vectors, map_fn, v_add, zero_vector(dim), out_add, out_scale(BOTTOM, zero_out)))
+    report.record_first("sup-preservation", (q for _, q in fold_failures(
+        test_vectors, [(map_fn, out_scale(BOTTOM, zero_out))], v_add, zero_vector(dim), out_add)))
+    images = [map_fn(v) for v in test_vectors]
     report.record_first("homogeneity", (
-        (k, v) for k in scalars if not k.is_top() for v in test_vectors
-        if map_fn(v_scale(k, v)) != out_scale(k, map_fn(v))))
+        (k, v) for k in scalars if not k.is_top() for v, image in zip(test_vectors, images)
+        if map_fn(v_scale(k, v)) != out_scale(k, image)))
 
     return report
 

@@ -38,7 +38,7 @@ def _refuse_repeated(elements: Tuple[str, ...]) -> None:
 class FiniteIS(Frozen):
     """A finite partial order (element labels and a leq relation), validated when built."""
 
-    __slots__ = ("elements", "__dict__")  # the __dict__ holds _up, its inverse and relation
+    __slots__ = ("elements", "__dict__")  # __dict__: _up, _down, _element_of_up, relation
     _fields = ("elements", "relation")
 
     def __init__(self, elements: Tuple[str, ...], relation: FrozenSet[Tuple[int, int]]):
@@ -146,6 +146,15 @@ class FiniteIS(Frozen):
         """Each principal up-set mapped to its element; antisymmetry makes them distinct."""
         return {up: i for i, up in enumerate(self._up)}
 
+    @cached_property
+    def _down(self) -> Tuple[int, ...]:
+        """The principal down-sets as bit-sets: bit i of _down[j] is set when i <= j."""
+        down = [1 << j for j in range(len(self._up))]
+        for i, u in enumerate(self._up):
+            for j in _members(u ^ 1 << i):  # the strict up-set: an antichain reads no bits
+                down[j] |= 1 << i
+        return tuple(down)
+
     def join_index(self, subset: Iterable[int]) -> Optional[int]:
         """Index of the least upper bound of a subset, or None if it does not exist.
 
@@ -191,12 +200,8 @@ def _enumerate_cuts(s: FiniteIS) -> List[int]:
     intersection being the full set, so closing {full set} under intersection
     with each down-set in turn finds them all in O(n * cuts) intersections.
     """
-    downs = [1 << j for j in range(len(s._up))]  # bit i of downs[j] is set when i <= j
-    for i, u in enumerate(s._up):
-        for j in _members(u ^ 1 << i):  # the strict up-set: an antichain reads no bits
-            downs[j] |= 1 << i
-    cuts = {(1 << len(downs)) - 1}
-    for down in downs:
+    cuts = {(1 << len(s._up)) - 1}
+    for down in s._down:
         cuts |= {cut & down for cut in cuts}
         if len(cuts) > COMPLETION_MAX_CUTS:
             raise PosetError(f"completion limited to {COMPLETION_MAX_CUTS} cuts, "
@@ -215,11 +220,13 @@ def dm_completion(s: FiniteIS) -> CompletionResult:
     if n > COMPLETION_MAX_CUTS:  # each element has its own principal cut
         raise PosetError(f"completion limited to {COMPLETION_MAX_CUTS} cuts, got {n} elements")
     cuts = _enumerate_cuts(s)
+    # a cut has a join exactly when it is the principal down-set of that join
+    element_of_down = {down: j for j, down in enumerate(s._down)}
 
     labels: List[str] = []
     synth = 0
     for cut in cuts:
-        if (j := s.join_index(_members(cut))) is not None:  # then the cut is the down-set of j
+        if (j := element_of_down.get(cut)) is not None:
             labels.append(s.elements[j])
         elif not cut:
             labels.append("_bot")

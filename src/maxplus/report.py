@@ -125,35 +125,38 @@ def refuse_past_subset_bound(items: Sequence) -> None:
                          f"are checked on at most {MAX_SUBSET_ITEMS} items")
 
 
-def fold_failures(items: Sequence, h: Callable, op: Callable, unit: object,
-                  op_h: Callable, unit_h: object) -> Iterator[Tuple]:
-    """Yield the least subsets S of items with h(fold S) != fold_h(h(s) for s in S).
+def fold_failures(items: Sequence, maps: Sequence[Tuple[Callable, object]], op: Callable,
+                  unit: object, op_h: Callable) -> Iterator[Tuple[int, Tuple]]:
+    """For each (h, unit_h) = maps[j], yield (j, S) for the least subsets S of
+    items with h(fold S) != fold_h(h(s) for s in S).
 
     Subsets are tuples of items, least first in itertools.combinations order.
-    At most two are yielded: () if the empty subset fails, then the least
-    failing nonempty subset, if there is one.  Folds run left to right from
-    unit under op and from unit_h under op_h.
+    For each j in order at most two are yielded: () if the empty subset fails,
+    then the least failing nonempty subset, if there is one.  Folds run left
+    to right from unit under op and from each map's own unit_h under op_h.
 
-    A law reads S only through its state (fold S, fold_h S), so the states are
-    closed over the items in index order, each kept with the least nonempty
-    index tuple that reaches it: h runs once per item and once per distinct
-    state, not once per subset.  Hence h, op and op_h must be functions of
-    their arguments' values, and folds must be hashable.  A failing nonempty
-    subset is yielded only after the closure is complete.  Callers bound items
-    with refuse_past_subset_bound first.
+    A law reads S only through its state (fold S, fold_h S for each map), so
+    the states are closed over the items in index order, each kept with the
+    least nonempty index tuple that reaches it: op runs once per step for the
+    whole family, and each h once per item and once per distinct state, not
+    once per subset.  Hence each h, op and op_h must be functions of their
+    arguments' values, and folds must be hashable.  Failures are yielded only
+    after the closure is complete.  Callers bound items with
+    refuse_past_subset_bound first.
     """
-    if h(unit) != unit_h:
-        yield ()
-    # (fold, fold_h) -> (size, index tuple) of the least nonempty subset reaching it
-    least = {}
+    # (fold, fold_h for each map) -> (size, index tuple) of the least nonempty subset reaching it
+    least, start = {}, ((unit, tuple(unit_h for _, unit_h in maps)), (0, ()))
     for i, x in enumerate(items):
-        image = h(x)
-        for (acc, acc_h), (size, t) in [((unit, unit_h), (0, ())), *least.items()]:
-            state, key = (op(acc, x), op_h(acc_h, image)), (size + 1, t + (i,))
+        images = [h(x) for h, _ in maps]
+        for (acc, accs_h), (size, t) in [start, *least.items()]:
+            state, key = (op(acc, x), tuple(map(op_h, accs_h, images))), (size + 1, t + (i,))
             # a smaller subset can reach a state first found by a larger one, as
             # (2,) may reach the state of (0, 1), so the kept key is compared
             if least.setdefault(state, key) > key:
                 least[state] = key
-    failing = [key for (fold, fold_h), key in least.items() if h(fold) != fold_h]
-    if failing:
-        yield tuple(items[i] for i in min(failing)[1])
+    for j, (h, unit_h) in enumerate(maps):
+        if h(unit) != unit_h:
+            yield j, ()
+        failing = [key for (fold, folds_h), key in least.items() if h(fold) != folds_h[j]]
+        if failing:
+            yield j, tuple(items[i] for i in min(failing)[1])

@@ -6,6 +6,7 @@ module operations are coordinatewise and exact.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -223,11 +224,12 @@ def check_b_space_axioms(samples: Sequence[FinVector],
 
     The meet law (inf Q) * x = inf (Q * x) is checked over every nonempty
     subset Q of the scalars and every sample vector except the all-top one,
-    which the law explicitly exempts.  Subsets are folded by
-    report.fold_failures, which scales once per distinct fold state, not once
+    which the law explicitly exempts.  Each law closes its subsets once with
+    report.fold_failures for its whole outer loop, the scalings by each vector
+    (or each scalar), so a scaling runs once per distinct fold state, not once
     per subset; while a law holds, a state is fixed by its fold, so the
-    scalar-subset laws meet at most n states per vector.  The two scalar-subset
-    laws loop over the vectors outside and the subsets inside; as they hold on
+    scalar-subset laws meet at most n states.  The witness is the first
+    failing vector's (or scalar's) least failing subset; as the laws hold on
     every valid input, that order shows only in the witness of a broken
     operation.  More than report.MAX_SUBSET_ITEMS scalars or samples, and
     samples whose dimensions or labels _join_labels refuses, are refused
@@ -243,17 +245,16 @@ def check_b_space_axioms(samples: Sequence[FinVector],
     zero = zero_vector(samples[0].dim)
     report = CheckReport()
 
-    report.record_first("meet-law", (
-        (list(q), x) for x in samples if not x.is_all_top()
-        for q in fold_failures(scalars, lambda k: v_scale(k, x), min, TOP,
-                               lambda a, b: v_inf([a, b]), top_vector(x.dim, x.labels))
-        if q))
-    report.record_first("generalized-distributive-scalars", (
-        (list(q), x) for x in samples
-        for q in fold_failures(scalars, lambda k: v_scale(k, x), s_add, BOTTOM,
-                               v_add, zero_vector(x.dim, x.labels))))
-    report.record_first("generalized-distributive-vectors", (
-        (k, list(xs)) for k in scalars
-        for xs in fold_failures(samples, lambda x: v_scale(k, x), v_add, zero, v_add, zero)))
+    nontop = [x for x in samples if not x.is_all_top()]
+    report.record_first("meet-law", ((list(q), nontop[j]) for j, q in fold_failures(
+        scalars, [(lambda k, x=x: v_scale(k, x), top_vector(x.dim, x.labels)) for x in nontop],
+        min, TOP, lambda a, b: v_inf([a, b])) if q))
+    # each sample keeps its own zero: an unlabeled one may join a labeled family
+    report.record_first("generalized-distributive-scalars", ((list(q), samples[j]) for j, q in
+        fold_failures(scalars, [(lambda k, x=x: v_scale(k, x), zero_vector(x.dim, x.labels))
+                                for x in samples], s_add, BOTTOM, v_add)))
+    report.record_first("generalized-distributive-vectors", ((scalars[j], list(xs)) for j, xs in
+        fold_failures(samples, [(partial(v_scale, k), zero) for k in scalars],
+                      v_add, zero, v_add)))
 
     return report

@@ -14,6 +14,7 @@ import itertools
 # the shipped ones with dataclasses.replace (the tests, the benchmark's fault
 # workload, compare_trees.py's faults).
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .report import CheckReport, fold_failures, refuse_past_subset_bound
@@ -88,10 +89,11 @@ def check_semiring_axioms(d: SemiringDescriptor,
                           sample: Optional[Sequence] = None) -> CheckReport:
     """Check every semiring axiom on a sample (the full carrier when finite).
 
-    Failures are recorded with a witness tuple, not raised.  The generalized
-    laws close over fold states with report.fold_failures, so mul runs per k
-    once per distinct state, not per subset; while a law holds, a state is
-    fixed by its fold, and a totally ordered sample has at most n.  More than
+    Failures are recorded with a witness tuple, not raised.  Each generalized
+    law closes the sample's subsets once with report.fold_failures, for the
+    multiplications by every k at once, so mul runs per k once per distinct
+    state, not per subset; while a law holds, a state is fixed by its fold,
+    and a totally ordered sample has at most n.  More than
     report.MAX_SUBSET_ITEMS sample values are refused before any law runs.
     """
     if sample is None:
@@ -123,10 +125,10 @@ def check_semiring_axioms(d: SemiringDescriptor,
                                  if d.mul(d.add(a, b), k) != d.add(d.mul(a, k), d.mul(b, k))))
 
     # Generalized distributivity over every subset of the sample, empty set included.
-    check("generalized-distributive-left", ((k, list(xs)) for k in sample for xs in
-          fold_failures(sample, lambda x: d.mul(k, x), d.add, d.zero, d.add, d.zero)))
-    check("generalized-distributive-right", ((k, list(xs)) for k in sample for xs in
-          fold_failures(sample, lambda x: d.mul(x, k), d.add, d.zero, d.add, d.zero)))
+    check("generalized-distributive-left", ((sample[j], list(xs)) for j, xs in fold_failures(
+          sample, [(partial(d.mul, k), d.zero) for k in sample], d.add, d.zero, d.add)))
+    check("generalized-distributive-right", ((sample[j], list(xs)) for j, xs in fold_failures(
+          sample, [(lambda x, k=k: d.mul(x, k), d.zero) for k in sample], d.add, d.zero, d.add)))
 
     if d.inverse is not None:
         check("inverse", ((a,) for a in sample

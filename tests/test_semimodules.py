@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import maxplus as mp
 from maxplus.report import MAX_SUBSET_ITEMS
 from maxplus.semimodules import _join_labels, span_sup
-from _oracles import (greatest_scaling, inf_div_dual_oracle, span_member_oracle,
-                      span_sup_oracle, v_add_oracle, v_leq_oracle, v_scale_oracle)
+from _oracles import (fold_failures_oracle, greatest_scaling, inf_div_dual_oracle,
+                      span_member_oracle, span_sup_oracle, v_add_oracle, v_leq_oracle,
+                      v_scale_oracle)
 
 finites = st.integers(min_value=-10, max_value=10).map(mp.finite)
 scalars = st.one_of(st.just(mp.BOTTOM), st.just(mp.TOP), finites)
@@ -287,6 +288,36 @@ def test_b_space_axioms_pass_on_labeled_vectors():
     report = mp.check_b_space_axioms(samples, [mp.finite(0), mp.TOP])
     assert report.lines() == ["meet-law: PASS", "generalized-distributive-scalars: PASS",
                               "generalized-distributive-vectors: PASS"]
+
+
+def test_b_space_axioms_give_each_sample_its_own_zero():
+    # an unlabeled sample joins a labeled family, so the two samples' zeros differ
+    samples = [mp.vector([2, -1]), mp.vector([0, 1], labels=["a", "b"])]
+    report = mp.check_b_space_axioms(samples, [mp.finite(0), mp.finite(1), mp.TOP])
+    assert report.lines() == ["meet-law: PASS", "generalized-distributive-scalars: PASS",
+                              "generalized-distributive-vectors: PASS"]
+
+
+def test_distributive_scalars_report_the_first_failing_sample(monkeypatch):
+    # The first sample fails only on the pair {0, 1}, the second only on the
+    # empty subset: the witness is the first sample's, though its subset is larger.
+    x, y = mp.vector([2, -1]), mp.vector([0, 1], labels=["a", "b"])
+    scale = mp.semimodules.v_scale
+
+    def broken(k, v):
+        if v == x and k == mp.finite(1):
+            return scale(mp.finite(-5), v)
+        return v if v == y and k.is_bottom() else scale(k, v)
+
+    monkeypatch.setattr(mp.semimodules, "v_scale", broken)
+    ks = [mp.finite(0), mp.finite(1)]
+    failing = {v: fold_failures_oracle(ks, lambda k, v=v: broken(k, v), mp.s_add, mp.BOTTOM,
+                                       mp.v_add, mp.zero_vector(v.dim, v.labels))
+               for v in (x, y)}
+    assert [f[0] for f in failing.values()] == [tuple(ks), ()]
+    witness = next((list(f[0]), v) for v, f in failing.items() if f)
+    entry = mp.check_b_space_axioms([x, y], ks).entry("generalized-distributive-scalars")
+    assert (entry.passed, entry.witness) == (False, witness)
 
 
 def test_distributive_scalars_checks_the_empty_subset(monkeypatch):
